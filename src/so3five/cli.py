@@ -130,7 +130,7 @@ def _json_mat_lines(rows, indent="    "):
     return [indent + "[" + "  ".join(row) + "]" for row in rows]
 
 
-def _read_model(path):
+def _read_model(path, tol=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -138,7 +138,7 @@ def _read_model(path):
         raise ModelError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ModelError(f"{path} is not valid JSON: {e}") from None
-    return CoframeModel.from_json(data), data
+    return CoframeModel.from_json(data, tol=tol), data
 
 
 def _torsion_class(report, tol):
@@ -278,7 +278,7 @@ def _print_classification(out):
 
 
 def cmd_classify(args) -> int:
-    model, data = _read_model(args.file)
+    model, data = _read_model(args.file, args.tol)
     out = classify_data(model, data, args.tol)
     if args.json:
         print(json.dumps(out, indent=2))
@@ -361,7 +361,7 @@ def cmd_catalog(words) -> int:
 
 
 def cmd_cr(args) -> int:
-    model, _ = _read_model(args.file)
+    model, _ = _read_model(args.file, args.tol)
     tol = args.tol if args.tol is not None else get_tol()
     report = build_report(model, tol)
     if not report.nearly_integrable:
@@ -382,7 +382,7 @@ def cmd_cr(args) -> int:
         "seed": args.seed,
     }
     if args.structure == "j0":
-        verdict = predicted_verdict(model, tol)
+        verdict = predicted_verdict(model, tol, report=report)
         out["predicted_integrable"] = verdict["integrable"]
         out["prediction_matches"] = \
             verdict["integrable"] == result["integrable"]
@@ -409,7 +409,7 @@ def cmd_cr(args) -> int:
 
 
 def cmd_decompose_torsion(args) -> int:
-    model, _ = _read_model(args.file)
+    model, _ = _read_model(args.file, args.tol)
     tol = args.tol if args.tol is not None else get_tol()
     report = build_report(model, tol)
     if not report.nearly_integrable:

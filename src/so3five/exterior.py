@@ -16,6 +16,7 @@ to Scalars; all indices are 1-based.
 from __future__ import annotations
 
 import json
+import math
 
 from .scalar import Scalar, scalar
 
@@ -312,34 +313,55 @@ class CoframeModel:
         index = {l: i + 1 for i, l in enumerate(labels)}
 
         def look(label, where):
-            if label not in index:
+            if not isinstance(label, str) or label not in index:
                 raise ModelError(f"unknown coframe label {label!r} (at {where})")
             return index[label]
 
+        def coefficient(co, where):
+            if not isinstance(co, str):
+                raise ModelError(
+                    f"coefficient must be a string, got {co!r} (at {where})")
+            try:
+                val = Scalar.from_string(co)
+            except (ValueError, ZeroDivisionError):
+                raise ModelError(
+                    f"bad coefficient {co!r} (at {where})") from None
+            if not (val.is_exact or math.isfinite(float(val))):
+                raise ModelError(
+                    f"non-finite coefficient {co!r} (at {where})")
+            return val
+
+        def entry_list(entries, where):
+            if not isinstance(entries, list):
+                raise ModelError(f"expected a list of entries (at {where})")
+            return entries
+
+        if not isinstance(data["d"], dict):
+            raise ModelError("d must be an object keyed by coframe label (at /d)")
         d = {}
         for label, entries in data["d"].items():
             i = look(label, f"/d/{label}")
             rows = []
-            for j, ent in enumerate(entries):
+            for j, ent in enumerate(entry_list(entries, f"/d/{label}")):
                 if not (isinstance(ent, list) and len(ent) == 3):
                     raise ModelError(
                         f"d entry must be [coef, label, label] (at /d/{label}/{j})")
                 co, bl, cl = ent
-                try:
-                    co = Scalar.from_string(co)
-                except (ValueError, TypeError):
-                    raise ModelError(
-                        f"bad coefficient {co!r} (at /d/{label}/{j}/0)") from None
-                rows.append((co, look(bl, f"/d/{label}/{j}/1"),
+                rows.append((coefficient(co, f"/d/{label}/{j}/0"),
+                             look(bl, f"/d/{label}/{j}/1"),
                              look(cl, f"/d/{label}/{j}/2")))
             d[i] = rows
 
         conn = None
         if "connection" in data and data["connection"] is not None:
+            if not isinstance(data["connection"], dict):
+                raise ModelError("connection must be an object with keys "
+                                 "g1, g2, g3 (at /connection)")
             conn = {}
             for w in (1, 2, 3):
                 key = f"g{w}"
-                entries = data["connection"].get(key, [])
+                entries = entry_list(data["connection"].get(key, []),
+                                     f"/connection/{key}")
                 rows = []
                 for j, ent in enumerate(entries):
                     if not (isinstance(ent, list) and len(ent) == 2):
@@ -347,13 +369,8 @@ class CoframeModel:
                             f"connection entry must be [coef, label]"
                             f" (at /connection/{key}/{j})")
                     co, l = ent
-                    try:
-                        co = Scalar.from_string(co)
-                    except (ValueError, TypeError):
-                        raise ModelError(
-                            f"bad coefficient {co!r}"
-                            f" (at /connection/{key}/{j}/0)") from None
-                    rows.append((co, look(l, f"/connection/{key}/{j}/1")))
+                    rows.append((coefficient(co, f"/connection/{key}/{j}/0"),
+                                 look(l, f"/connection/{key}/{j}/1")))
                 conn[w] = rows
 
         return cls(data["name"], d=d, n_fiber=n_fiber, labels=labels,

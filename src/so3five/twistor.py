@@ -346,6 +346,10 @@ class TwistorForm:
                 key, sign = sort_indices(ka + kb)
                 prod = fa * fb
                 out._merge(key, prod if sign > 0 else -prod)
+        # common (1 + z zbar) factors would otherwise compound through
+        # every later product
+        for key, f in out.terms.items():
+            out.terms[key] = f.reduce()
         out._prune()
         return out
 
@@ -669,16 +673,28 @@ def _structure_span(cf: dict, which: str):
                      f"choose one of {', '.join(STRUCTURES)}")
 
 
-def _cr_residuals_raw(model: CoframeModel, which: str, gamma):
+def _cr_forms(model: CoframeModel, which: str, gamma) -> dict:
+    """Each coframe member mu with its residual 6-form d(mu) ^ u ^ span.
+
+    The forms are built once per model and structure (unless an explicit
+    connection is given) and serve both the exact residuals and the
+    sampled cross-check.
+    """
+    if gamma is None:
+        cache = model.__dict__.setdefault("_cr_residuals", {})
+        cached = cache.get(which)
+        if cached is not None:
+            return cached
     cf = twistor_coframe(model, gamma)
     span = _structure_span(cf, which)
     u = cf["u"]
     wedge_all = u.wedge(span[0]).wedge(span[1]).wedge(span[2])
     names = ("transversal", "fiber", "null-1", "null-2")
-    residuals = {}
-    for name, mu in zip(names, [u] + span):
-        residuals[name] = mu.d().wedge(wedge_all).max_norm()
-    return residuals
+    forms = {name: (mu, mu.d().wedge(wedge_all))
+             for name, mu in zip(names, [u] + span)}
+    if gamma is None:
+        cache[which] = forms
+    return forms
 
 
 def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
@@ -690,26 +706,25 @@ def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
     transversal 1-form and the chosen span of (1,0)-forms; an integrable
     structure makes all four vanish identically.
     """
-    if gamma is None:
-        cache = model.__dict__.setdefault("_cr_residuals", {})
-        residuals = cache.get(which)
-        if residuals is None:
-            residuals = _cr_residuals_raw(model, which, None)
-            cache[which] = residuals
-    else:
-        residuals = _cr_residuals_raw(model, which, gamma)
+    residuals = {name: six.max_norm()
+                 for name, (_mu, six) in _cr_forms(model, which, gamma).items()}
     worst = max(residuals.values())
     return {
         "structure": which,
-        "residuals": dict(residuals),
+        "residuals": residuals,
         "max_residual": worst,
         "integrable": worst <= tol,
     }
 
 
-def predicted_verdict(model: CoframeModel, tol: float | None = None) -> dict:
-    """Integrability forecast from torsion type and curvature content."""
-    rep = build_report(model, tol)
+def predicted_verdict(model: CoframeModel, tol: float | None = None,
+                      report=None) -> dict:
+    """Integrability forecast from torsion type and curvature content.
+
+    A report already built for the model at this tolerance may be passed
+    in to avoid building it again.
+    """
+    rep = report if report is not None else build_report(model, tol)
     if rep.failure:
         raise ModelError(f"cannot classify: {rep.failure}")
     torsion_ok = rep.torsion_t7 is None or rep.torsion_t7.is_zero(tol)
@@ -958,16 +973,15 @@ def derivative_sample_residual(f: FiberFunction, z: complex,
 def cr_residuals_sampled(model: CoframeModel, which: str = "j0", gamma=None,
                          seed: int = 0, count: int = 6,
                          step: float = 1e-5) -> dict:
-    """Numerical cross-check of the exact residuals at sampled points."""
-    cf = twistor_coframe(model, gamma)
-    span = _structure_span(cf, which)
-    u = cf["u"]
-    wedge_all = u.wedge(span[0]).wedge(span[1]).wedge(span[2])
+    """Numerical cross-check of the exact residuals at sampled points.
+
+    The residual 6-forms are the ones cr_residuals reduces, evaluated at
+    the sample points rather than rebuilt.
+    """
     points = sample_points(seed, count)
     worst = 0.0
     deriv_worst = 0.0
-    for mu in [u] + span:
-        six = mu.d().wedge(wedge_all)
+    for mu, six in _cr_forms(model, which, gamma).values():
         for z in points:
             for val in six.eval_terms(z).values():
                 worst = max(worst, abs(val))

@@ -125,6 +125,48 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["tolerance"] == 1e-4
 
+    @pytest.mark.parametrize("patch,pointer", [
+        ({"d": {"e1": [["1/0", "e2", "e3"]]}}, "/d/e1/0/0"),
+        ({"d": {"e1": [[1, "e2", "e3"]]}}, "/d/e1/0/0"),
+        ({"d": {"e1": [["nan", "e2", "e3"]]}}, "/d/e1/0/0"),
+        ({"d": {"e1": [["1e400", "e2", "e3"]]}}, "/d/e1/0/0"),
+        ({"d": {"e1": "e2"}}, "/d/e1"),
+        ({"d": []}, "/d"),
+        ({"connection": "bad"}, "/connection"),
+        ({"connection": {"g1": 5}}, "/connection/g1"),
+    ], ids=["zero-denominator", "numeric-coefficient", "nan", "overflow",
+            "entries-not-a-list", "d-not-an-object", "connection-not-an-object",
+            "connection-entries-not-a-list"])
+    def test_malformed_model_exits_1_with_pointer(self, capsys, tmp_path,
+                                                  patch, pointer):
+        model = {"name": "bad", "labels": ["e1", "e2", "e3", "e4", "e5"],
+                 "d": {"e1": [["1", "e2", "e3"]]}}
+        model.update(patch)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(model))
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 1
+        assert f"(at {pointer})" in err
+        assert "Traceback" not in err
+
+    def test_tol_flag_reaches_the_load_time_jacobi_check(self, capsys,
+                                                         tmp_path):
+        # a float perturbation leaves a d^2 residual of 1e-7: inside a
+        # 1e-5 tolerance, outside the default one
+        from so3five.catalog import entry_json
+        model = entry_json("tor23", {"rho": "1", "eps": "1", "delta": "1"})
+        model.pop("catalog")
+        model["d"]["e1"].append(["5e-8", "e2", "e3"])
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(model))
+        code, out, _ = run(capsys, "classify", str(path), "--tol", "1e-5",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["nearly_integrable"] is True
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 1
+        assert "d^2 != 0" in err
+
 
 class TestCatalog:
     def test_list_names_every_entry(self, capsys):
@@ -235,6 +277,27 @@ class TestCr:
     def test_bad_structure_name_exits_1(self, capsys, tor23_file):
         code, _, _ = run(capsys, "cr", tor23_file, "--structure", "j5")
         assert code == 1
+
+    def test_j0_request_builds_one_report(self, capsys, monkeypatch,
+                                          tor23_file):
+        import so3five.cli as cli
+        import so3five.twistor as twistor
+
+        calls = []
+
+        def counting(build):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0])
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_report", counting(cli.build_report))
+        monkeypatch.setattr(twistor, "build_report",
+                            counting(twistor.build_report))
+        code, out, _ = run(capsys, "cr", tor23_file, "--json")
+        assert code == 0
+        assert json.loads(out)["prediction_matches"] is True
+        assert len(calls) == 1
 
 
 class TestDecomposeTorsion:

@@ -11,7 +11,7 @@ from so3five.catalog import (
     tor27_model,
     torsion_free_model,
 )
-from so3five.exterior import ModelError
+from so3five.exterior import ModelError, sort_indices
 from so3five.scalar import CScalar, Scalar, scalar
 from so3five.twistor import (
     FiberFunction,
@@ -49,6 +49,11 @@ def t23():
 @pytest.fixture(scope="module")
 def t27():
     return tor27_model(1, 0)
+
+
+@pytest.fixture(scope="module")
+def sd211():
+    return six_dim_model(2, t1=1, t2=1)
 
 
 # -- fiber functions --------------------------------------------------------
@@ -254,6 +259,102 @@ class TestCrStructures:
         assert ok["derivative_check"] < 1e-6
         bad = cr_residuals_sampled(t27, "j0", seed=7)
         assert bad["max_sampled_residual"] > 0.1
+
+
+# residuals of every structure, as the unreduced wedge computed them:
+# 8/sqrt3, 16/3, 8 sqrt3, 2 sqrt3 and 4 sqrt3 appear as their float images
+PINNED = {
+    "t23": {
+        "j0": (0.0, 0.0, 0.0, 0.0),
+        "j0m": (12.0, 0.0, 0.0, 0.0),
+        "jm": (4.618802153517006, 5.333333333333333,
+               13.856406460551018, 13.856406460551018),
+        "jmm": (12.0, 5.333333333333333, 0.0, 0.0),
+    },
+    "t27": {
+        "j0": (3.4641016151377544, 7.0, 0.0, 0.0),
+        "j0m": (12.0, 4.0, 0.0, 0.0),
+        "jm": (6.928203230275509, 9.0,
+               13.856406460551018, 13.856406460551018),
+        "jmm": (12.0, 12.0, 0.0, 0.0),
+    },
+    "sd211": {
+        "j0": (4.0, 0.0, 0.0, 0.0),
+        "j0m": (12.0, 0.0, 0.0, 0.0),
+        "jm": (12.0, 2.0, 13.856406460551018, 13.856406460551018),
+        "jmm": (12.0, 2.0, 0.0, 0.0),
+    },
+    "tf1": {
+        "j0": (0.0, 0.0, 0.0, 0.0),
+        "j0m": (12.0, 0.0, 0.0, 0.0),
+        "jm": (0.0, 2.0, 13.856406460551018, 13.856406460551018),
+        "jmm": (12.0, 0.0, 0.0, 0.0),
+    },
+}
+
+
+def plain_wedge(a, b):
+    """Wedge coefficients without any (1 + z zbar) cancellation."""
+    out = {}
+    for ka, fa in a.terms.items():
+        for kb, fb in b.terms.items():
+            key, sign = sort_indices(ka + kb)
+            if sign == 0:
+                continue
+            prod = fa * fb
+            out[key] = out.get(key, FiberFunction.zero()) + \
+                (prod if sign > 0 else -prod)
+    return out
+
+
+def monomials(form):
+    return sum(len(f.num) for f in form.terms.values())
+
+
+class TestResidualForms:
+    def test_reduced_wedge_equals_unreduced(self, tf1):
+        cf = twistor_coframe(tf1)
+        pieces = [cf["u"], cf["h"], cf["n1"], cf["n2"]]
+        reduced = plain = pieces[0]
+        for piece in pieces[1:]:
+            reduced = reduced.wedge(piece)
+            plain = TwistorForm(tf1, plain.degree + 1,
+                                plain_wedge(plain, piece))
+            assert set(reduced.terms) == set(plain.terms)
+            for key, f in plain.terms.items():
+                assert reduced.coeff(key) == f
+            for f in reduced.terms.values():
+                assert f.reduce().k == f.k
+        assert monomials(reduced) < monomials(plain)
+
+    @pytest.mark.parametrize("fixture", sorted(PINNED))
+    def test_residuals_match_pinned_values(self, request, fixture):
+        model = request.getfixturevalue(fixture)
+        names = ("transversal", "fiber", "null-1", "null-2")
+        for which, want in PINNED[fixture].items():
+            got = cr_residuals(model, which)["residuals"]
+            assert got == dict(zip(names, want)), (fixture, which)
+
+    def test_cr_command_wedges_seven_times(self, monkeypatch, tmp_path,
+                                           capsys):
+        import json
+
+        from so3five.catalog import entry_json
+        from so3five.cli import main
+
+        path = tmp_path / "tor23.json"
+        path.write_text(json.dumps(entry_json("tor23", {"rho": "1"})))
+        calls = []
+        wedge = TwistorForm.wedge
+
+        def counting(self, other):
+            calls.append(1)
+            return wedge(self, other)
+
+        monkeypatch.setattr(TwistorForm, "wedge", counting)
+        assert main(["cr", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["integrable"] is True
+        assert len(calls) == 7
 
 
 # -- G2 and normalization identities ----------------------------------------
