@@ -90,11 +90,13 @@ class _Parser(argparse.ArgumentParser):
 # -- serialization helpers --------------------------------------------------
 
 
-def _form_json(form):
+def _form_json(form, tol):
+    """Coefficients by leg tuple, leaving out those that are zero at tol."""
     if form is None:
         return None
     return {",".join(str(i) for i in legs): coeff.to_string()
-            for legs, coeff in sorted(form.terms.items())}
+            for legs, coeff in sorted(form.terms.items())
+            if not coeff.is_zero(tol)}
 
 
 def _t2_json(t2):
@@ -103,13 +105,15 @@ def _t2_json(t2):
     return [[v.to_string() for v in row] for row in t2.m]
 
 
-def _form_str(form):
+def _form_str(form, tol):
     if form is None:
         return "-"
-    if form.is_zero():
+    if form.is_zero(tol):
         return "0"
     parts = []
     for legs, coeff in sorted(form.terms.items()):
+        if coeff.is_zero(tol):
+            continue
         legs_s = "^".join(str(i) for i in legs)
         parts.append(f"({coeff.to_string()}) e{legs_s}")
     return " + ".join(parts)
@@ -192,11 +196,11 @@ def classify_data(model: CoframeModel, data=None, tol=None) -> dict:
         return out
     einstein_ok, einstein_res = _einstein(report, tol)
     out.update({
-        "torsion": _form_json(report.torsion),
+        "torsion": _form_json(report.torsion, tol),
         "torsion_class": _torsion_class(report, tol),
-        "torsion_3_part": _form_json(report.torsion_t3),
-        "torsion_7_part": _form_json(report.torsion_t7),
-        "curvature_forms": [_form_json(f) for f in report.r_forms],
+        "torsion_3_part": _form_json(report.torsion_t3, tol),
+        "torsion_7_part": _form_json(report.torsion_t7, tol),
+        "curvature_forms": [_form_json(f, tol) for f in report.r_forms],
         "curvature_present": {
             k: bool(v) for k, v in
             report.curvature_components["present"].items()},
@@ -369,8 +373,10 @@ def cmd_cr(args) -> int:
         print(f"nearly integrable: NO (residual {report.ni_residual:g}); "
               "the sphere-bundle coframe needs the characteristic connection")
         return EXIT_NOT_NI
-    result = cr_residuals(model, args.structure, tol=max(tol, 1e-12))
-    sampled = cr_residuals_sampled(model, args.structure, seed=args.seed)
+    cr_tol = max(tol, 1e-12)
+    result = cr_residuals(model, args.structure, tol=cr_tol)
+    sampled = cr_residuals_sampled(model, args.structure, seed=args.seed,
+                                   tol=cr_tol)
     out = {
         "model": model.name,
         "structure": args.structure,
@@ -419,20 +425,20 @@ def cmd_decompose_torsion(args) -> int:
     cls = _torsion_class(report, tol)
     out = {
         "model": model.name,
-        "torsion": _form_json(report.torsion),
+        "torsion": _form_json(report.torsion, tol),
         "torsion_class": cls,
-        "torsion_3_part": _form_json(report.torsion_t3),
-        "torsion_7_part": _form_json(report.torsion_t7),
+        "torsion_3_part": _form_json(report.torsion_t3, tol),
+        "torsion_7_part": _form_json(report.torsion_t7, tol),
         "coclosed": report.codifferential_zero,
     }
     if args.json:
         print(json.dumps(out, indent=2))
     else:
         print(f"model: {model.name}")
-        print(f"torsion 3-form: {_form_str(report.torsion)}")
+        print(f"torsion 3-form: {_form_str(report.torsion, tol)}")
         print(f"class: {TORSION_CLASS_NAMES[cls]}")
-        print(f"3-class part (dual 2-form): {_form_str(report.torsion_t3)}")
-        print(f"7-class part (dual 2-form): {_form_str(report.torsion_t7)}")
+        print(f"3-class part (dual 2-form): {_form_str(report.torsion_t3, tol)}")
+        print(f"7-class part (dual 2-form): {_form_str(report.torsion_t7, tol)}")
         print(f"coclosed (*d*T = 0): "
               f"{'yes' if report.codifferential_zero else 'no'}")
     return EXIT_OK

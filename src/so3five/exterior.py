@@ -8,9 +8,11 @@ three further directions are vertical bundle legs.  ``d^2 = 0`` is checked
 when a model is built, so a loaded model is always a genuine Lie-algebra-level
 geometry.
 
-The Hodge star is the star of the 5-dimensional base and refuses forms with
-vertical legs.  Forms are dictionaries from strictly increasing index tuples
-to Scalars; all indices are 1-based.
+This module owns the one exterior-form engine.  Forms are dictionaries from
+strictly increasing index tuples to coefficients, Scalars here; all indices
+are 1-based.  twistor.TwistorForm extends the engine with fiber-function
+coefficients and the dz, dzbar legs.  The Hodge star is taken in a given top
+dimension, the 5-dimensional base by default, and refuses legs above it.
 """
 
 from __future__ import annotations
@@ -45,9 +47,19 @@ def sort_indices(indices):
 
 
 class Form:
-    """Exterior form with constant Scalar coefficients on a coframe model."""
+    """Exterior form with constant Scalar coefficients on a coframe model.
+
+    The engine is generic in two class attributes: ``ring`` coerces a value
+    into the coefficient ring, and ``n_extra`` counts the legs a subclass
+    allows past the model's coframe (numbered from ``model.dim + 1``).
+    Arithmetic, :func:`wedge`, :func:`ext_d` and :func:`hodge_star` build
+    forms of their argument's class.
+    """
 
     __slots__ = ("model", "degree", "terms")
+
+    ring = staticmethod(scalar)
+    n_extra = 0
 
     def __init__(self, model: "CoframeModel", degree: int, terms=None):
         self.model = model
@@ -55,7 +67,7 @@ class Form:
         self.terms = {}
         if terms:
             for key, coef in (terms.items() if isinstance(terms, dict) else terms):
-                self._accumulate(key, scalar(coef))
+                self._accumulate(key, self.ring(coef))
         self._prune()
 
     def _accumulate(self, key, coef):
@@ -65,14 +77,18 @@ class Form:
         skey, sign = sort_indices(key)
         if sign == 0:
             return
+        top = self.model.dim + self.n_extra
         for i in skey:
-            if not 1 <= i <= self.model.dim:
-                raise ModelError(f"coframe index {i} out of range 1..{self.model.dim}")
-        c = coef if sign > 0 else -coef
+            if not 1 <= i <= top:
+                raise ModelError(f"coframe index {i} out of range 1..{top}")
+        self._merge(skey, coef if sign > 0 else -coef)
+
+    def _merge(self, skey, coef):
+        """Add coef at an already sorted, in-range key."""
         if skey in self.terms:
-            self.terms[skey] = self.terms[skey] + c
+            self.terms[skey] = self.terms[skey] + coef
         else:
-            self.terms[skey] = c
+            self.terms[skey] = coef
 
     def _prune(self):
         dead = [k for k, v in self.terms.items() if v.is_zero()]
@@ -81,14 +97,12 @@ class Form:
 
     # -- access ------------------------------------------------------------
 
-    def coeff(self, indices) -> Scalar:
+    def coeff(self, indices):
         """Coefficient of theta^{indices}, antisymmetrized in the indices."""
         skey, sign = sort_indices(tuple(indices))
-        if sign == 0:
-            return Scalar(0)
-        c = self.terms.get(skey)
+        c = self.terms.get(skey) if sign else None
         if c is None:
-            return Scalar(0)
+            return self.ring(0)
         return c if sign > 0 else -c
 
     def is_zero(self, tol: float | None = None) -> bool:
@@ -116,15 +130,15 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._check_same(other)
-        out = Form(self.model, self.degree, self.terms)
+        out = type(self)(self.model, self.degree, self.terms)
         for k, v in other.terms.items():
             out._accumulate(k, v)
         out._prune()
         return out
 
     def __neg__(self):
-        return Form(self.model, self.degree,
-                    {k: -v for k, v in self.terms.items()})
+        return type(self)(self.model, self.degree,
+                          {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -133,11 +147,11 @@ class Form:
 
     def __mul__(self, c):
         try:
-            c = scalar(c)
+            c = self.ring(c)
         except TypeError:
             return NotImplemented
-        return Form(self.model, self.degree,
-                    {k: v * c for k, v in self.terms.items()})
+        return type(self)(self.model, self.degree,
+                          {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -155,13 +169,14 @@ class Form:
 
     def __repr__(self):
         if not self.terms:
-            return "Form(0)"
+            return f"{type(self).__name__}(0)"
         labels = self.model.labels
         bits = []
         for key in sorted(self.terms):
-            mono = "^".join(labels[i - 1] for i in key) if key else "1"
+            mono = "^".join(labels[i - 1] if i <= len(labels) else f"#{i}"
+                            for i in key) if key else "1"
             bits.append(f"({self.terms[key]})*{mono}")
-        return "Form(" + " + ".join(bits) + ")"
+        return f"{type(self).__name__}(" + " + ".join(bits) + ")"
 
 
 class CoframeModel:
@@ -397,8 +412,8 @@ class CoframeModel:
 def wedge(a: Form, b: Form) -> Form:
     if a.model is not b.model:
         raise ModelError("forms live on different models")
-    out = Form(a.model, a.degree + b.degree)
-    if out.degree > a.model.dim:
+    out = type(a)(a.model, a.degree + b.degree)
+    if out.degree > a.model.dim + a.n_extra:
         return out
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
@@ -406,7 +421,7 @@ def wedge(a: Form, b: Form) -> Form:
             if sign == 0:
                 continue
             c = va * vb
-            out._accumulate(key, c if sign > 0 else -c)
+            out._merge(key, c if sign > 0 else -c)
     out._prune()
     return out
 
@@ -420,34 +435,33 @@ def wedge_all(*forms: Form) -> Form:
 
 def ext_d(a: Form) -> Form:
     """Exterior derivative through the structure constants (coefficients are
-    constant on the model)."""
+    constant on the model).  Legs past the model's coframe are closed."""
     model = a.model
-    out = Form(model, a.degree + 1)
+    out = type(a)(model, a.degree + 1)
     for key, coef in a.terms.items():
         for pos, leg in enumerate(key):
-            dleg = model.d_of(leg)
-            sign = Scalar(1) if pos % 2 == 0 else Scalar(-1)
-            for (b, c), dco in dleg.terms.items():
-                rest = key[:pos] + key[pos + 1:]
-                merged, s = sort_indices((b, c) + rest)
+            if leg > model.dim:
+                continue
+            for (b, c), dco in model.d_of(leg).terms.items():
+                merged, s = sort_indices((b, c) + key[:pos] + key[pos + 1:])
                 if s == 0:
                     continue
-                val = coef * dco * sign
-                out._accumulate(merged, val if s > 0 else -val)
+                val = coef * (dco if pos % 2 == 0 else -dco)
+                out._merge(merged, val if s > 0 else -val)
     out._prune()
     return out
 
 
-def hodge_star(a: Form) -> Form:
-    """Base Hodge star: orthonormal theta^1..theta^5, orientation
-    theta^1^...^theta^5.  Rejects forms with vertical legs."""
-    if a.has_fiber_legs():
-        raise ModelError("hodge star is defined on the 5-dimensional base only")
-    if a.degree > N_BASE:
-        raise ModelError("degree exceeds base dimension")
-    model = a.model
-    out = Form(model, N_BASE - a.degree)
-    full = tuple(range(1, N_BASE + 1))
+def hodge_star(a: Form, top: int = N_BASE) -> Form:
+    """Hodge star of the orthonormal coframe theta^1..theta^top, oriented by
+    theta^1^...^theta^top: the 5-dimensional base by default.  Rejects forms
+    with a leg above top."""
+    if any(i > top for key in a.terms for i in key):
+        raise ModelError(f"hodge star in dimension {top} got a leg above {top}")
+    if a.degree > top:
+        raise ModelError(f"degree exceeds dimension {top}")
+    out = type(a)(a.model, top - a.degree)
+    full = tuple(range(1, top + 1))
     for key, coef in a.terms.items():
         comp = tuple(i for i in full if i not in key)
         _, sign = sort_indices(key + comp)

@@ -17,6 +17,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def perturbed_tor23(tmp_path, amount):
+    """tor23 (rho=1, eps=1, delta=1) with a float amount of e2^e3 added to
+    d(e1): a d^2 residual and a split residual of order amount."""
+    from so3five.catalog import entry_json
+    model = entry_json("tor23", {"rho": "1", "eps": "1", "delta": "1"})
+    model.pop("catalog")
+    model["d"]["e1"].append([amount, "e2", "e3"])
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(model))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def tor23_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "tor23.json"
@@ -167,6 +179,18 @@ class TestClassify:
         assert code == 1
         assert "d^2 != 0" in err
 
+    def test_printed_forms_drop_what_is_zero_at_tol(self, capsys, tmp_path):
+        # the verdict is t3 at --tol 1e-5; the 7-class part printed next to
+        # it must not list the 1e-8 float residue the verdict ignored
+        path = perturbed_tor23(tmp_path, "1e-7")
+        code, out, _ = run(capsys, "classify", path, "--tol", "1e-5",
+                           "--json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["torsion_class"] == "t3"
+        assert d["torsion_7_part"] == {}
+        assert d["torsion"] == {"1,2,4": "-2/3*sqrt3", "1,3,5": "-4/3*sqrt3"}
+
 
 class TestCatalog:
     def test_list_names_every_entry(self, capsys):
@@ -273,6 +297,20 @@ class TestCr:
     def test_not_nearly_integrable_exits_2(self, capsys, not_ni_file):
         code, _, _ = run(capsys, "cr", not_ni_file)
         assert code == 2
+
+    def test_tol_flag_reaches_the_twistor_coframe(self, capsys, tmp_path):
+        # classify accepts this model at --tol 1e-5; cr must check the
+        # characteristic connection at the same tolerance
+        path = perturbed_tor23(tmp_path, "5e-8")
+        code, out, _ = run(capsys, "classify", path, "--tol", "1e-5",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["nearly_integrable"] is True
+        code, out, err = run(capsys, "cr", path, "--tol", "1e-5", "--json")
+        assert code == 0, err
+        d = json.loads(out)
+        assert d["integrable"] is True
+        assert d["prediction_matches"] is True
 
     def test_bad_structure_name_exits_1(self, capsys, tor23_file):
         code, _, _ = run(capsys, "cr", tor23_file, "--structure", "j5")

@@ -1,5 +1,6 @@
 """Sphere-bundle calculus: coframe identities, CR verdicts, the G2 form."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,17 @@ from so3five.catalog import (
     tor27_model,
     torsion_free_model,
 )
-from so3five.exterior import ModelError, sort_indices
+from so3five.catalog import entry_json
+from so3five.connection import StructureError
+from so3five.exterior import (
+    CoframeModel,
+    Form,
+    ModelError,
+    ext_d,
+    hodge_star,
+    sort_indices,
+    wedge,
+)
 from so3five.scalar import CScalar, Scalar, scalar
 from so3five.twistor import (
     FiberFunction,
@@ -438,3 +449,93 @@ class TestTwistorForm:
         b = TwistorForm(t23, 2, {(1, 2): 1})
         with pytest.raises(ModelError):
             a + b
+
+
+# -- the shared form engine -------------------------------------------------
+
+
+def rand_scalar(rng):
+    return Scalar.exact(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                        Fraction(rng.randint(-2, 2), 2))
+
+
+def rand_base_form(model, degree, rng, n_terms=4):
+    return model.form(degree, [(tuple(rng.sample(range(1, 6), degree)),
+                                rand_scalar(rng)) for _ in range(n_terms)])
+
+
+def rand_fiber(rng):
+    num = {(rng.randint(0, 2), rng.randint(0, 2)):
+           CScalar(rand_scalar(rng), rand_scalar(rng)) for _ in range(2)}
+    return FiberFunction(num, rng.randint(0, 2))
+
+
+def rand_split_form(model, degree, rng, n_terms=4):
+    """Exact form on the seven legs of the split basis: the base coframe
+    plus the orthonormal fiber pair in slots 6 and 7."""
+    return TwistorForm(model, degree,
+                       [(tuple(rng.sample(range(1, 8), degree)),
+                         rand_fiber(rng)) for _ in range(n_terms)])
+
+
+class TestSharedEngine:
+    def test_lift_commutes_with_wedge_d_and_star(self, t23):
+        assert t23.is_exact and issubclass(TwistorForm, Form)
+        lift = TwistorForm.lift
+        rng = random.Random(23)
+        for da, db in [(0, 2), (1, 1), (1, 2), (2, 2), (2, 3)]:
+            for _ in range(3):
+                a = rand_base_form(t23, da, rng) if da else \
+                    t23.scalar_form(rand_scalar(rng))
+                b = rand_base_form(t23, db, rng)
+                assert lift(a).wedge(lift(b)) == lift(wedge(a, b))
+                assert type(wedge(lift(a), lift(b))) is TwistorForm
+                assert lift(b).d() == lift(ext_d(b))
+                assert hodge_star(lift(b)) == lift(hodge_star(b))
+
+    def test_seven_dimensional_star_is_an_involution(self, t23):
+        rng = random.Random(7)
+        for degree in range(8):
+            for _ in range(3):
+                x = rand_split_form(t23, degree, rng)
+                assert x.is_exact
+                star = hodge_star(x, 7)
+                assert star.degree == 7 - degree
+                assert hodge_star(star, 7) == x
+
+    def test_star_rejects_a_leg_above_its_dimension(self, t23):
+        with pytest.raises(ModelError):
+            hodge_star(TwistorForm.leg(t23, 6))
+        with pytest.raises(ModelError):
+            hodge_star(TwistorForm(t23, 2, {(3, 7): 1}))
+        with pytest.raises(ModelError):
+            hodge_star(t23.basis(1, 5), 4)
+
+
+# -- tolerance --------------------------------------------------------------
+
+
+def near_tor23():
+    """tor23 with 5e-8 e2^e3 added to d(e1): nearly integrable at 1e-5,
+    not at 1e-9."""
+    data = entry_json("tor23", {"rho": "1", "eps": "1", "delta": "1"})
+    data["d"]["e1"].append(["5e-8", "e2", "e3"])
+    return CoframeModel.from_json(data, tol=1e-5)
+
+
+class TestTolerance:
+    def test_residuals_use_the_given_tolerance(self):
+        with pytest.raises(StructureError):
+            cr_residuals(near_tor23(), tol=1e-9)
+        out = cr_residuals(near_tor23(), tol=1e-5)
+        assert out["integrable"], out["residuals"]
+
+    def test_cache_never_answers_for_another_tolerance(self):
+        model = near_tor23()
+        assert cr_residuals(model, tol=1e-5)["integrable"]
+        assert cr_residuals_sampled(model, tol=1e-5)[
+            "max_sampled_residual"] < 1e-5
+        with pytest.raises(StructureError):
+            cr_residuals(model, tol=1e-9)
+        with pytest.raises(StructureError):
+            twistor_coframe(model, tol=1e-9)
