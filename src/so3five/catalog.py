@@ -649,12 +649,13 @@ def verify_expectations(model, expect, tol=None):
     """Compare computed geometry against the expected oracles.
 
     Returns a list of rows {check, ok, residual, expected, computed};
-    never mutates the computation inputs.
+    never mutates the computation inputs.  The report kept in
+    Analysis(model, tol) is read, not built again.
     """
-    from .connection import build_report
+    from .connection import Analysis, build_report
     if tol is None:
         tol = get_tol()
-    report = build_report(model, tol)
+    report = Analysis(model, tol).kept("report") or build_report(model, tol)
     rows = []
 
     def add(check, ok, residual, exp_repr, got_repr):

@@ -33,6 +33,7 @@ from .catalog import (
     verify_expectations,
 )
 from .connection import (
+    Analysis,
     StructureError,
     build_report,
     cartan_su3,
@@ -181,8 +182,8 @@ def _catalog_rows(model, stanza, tol):
 
 def classify_data(model: CoframeModel, data=None, tol=None) -> dict:
     """Everything cmd_classify reports, as one JSON-ready dictionary."""
-    if tol is None:
-        tol = get_tol()
+    analysis = Analysis(model, tol)  # held, so every stage below runs once
+    tol = analysis.tol
     report = build_report(model, tol)
     out = {
         "model": model.name,
@@ -366,7 +367,8 @@ def cmd_catalog(words) -> int:
 
 def cmd_cr(args) -> int:
     model, _ = _read_model(args.file, args.tol)
-    tol = args.tol if args.tol is not None else get_tol()
+    analysis = Analysis(model, args.tol)  # held across the calls below
+    tol = analysis.tol
     report = build_report(model, tol)
     if not report.nearly_integrable:
         print(f"model: {model.name}")
@@ -388,7 +390,7 @@ def cmd_cr(args) -> int:
         "seed": args.seed,
     }
     if args.structure == "j0":
-        verdict = predicted_verdict(model, tol, report=report)
+        verdict = predicted_verdict(model, tol)
         out["predicted_integrable"] = verdict["integrable"]
         out["prediction_matches"] = \
             verdict["integrable"] == result["integrable"]
@@ -544,6 +546,7 @@ def _selftest_battery(lines, results, seed, tol):
     # twistor: normalization, orthonormal coframe, one verdict each way
     t23 = tor23_model(1, 0, 1, 0)
     t27 = tor27_model(1, 0)
+    held = [Analysis(m, tol) for m in (t23, t27)]  # shared by the calls below
     tw_ok = omega_normalization(t23) == 5 and gram_residual(t23) == 0.0
     good = cr_residuals(t23, "j0")
     bad = cr_residuals(t27, "j0")
@@ -647,8 +650,8 @@ def _selftest_acceptance(lines, results, seed, tol):
         t = solve_flat_constraints(*[rng.randint(-3, 3) for _ in range(6)],
                                    rng.randint(1, 4))
         m = flat_char_model(t)
-        g, _T = characteristic_connection(m, tol)
-        rf, _ = curvature(m, g)
+        analysis = Analysis(m, tol)  # held: the spinor check reads its curvature
+        rf, _ = analysis.curvature
         sp = spinor_obstruction(m, tol)
         ok = ok and all(f.is_zero() for f in rf) and sp["solution_dim"] == 4
     _check(lines, results, "acceptance-09 flat solver", ok)
@@ -667,6 +670,7 @@ def _selftest_acceptance(lines, results, seed, tol):
               (six_dim_model(2, t1=1, t2=2), True),
               (tor27_model(1, 0), False),
               (flat_char_model([1] + [0] * 9), False)]
+    held = [Analysis(m, tol) for m, _ in roster]  # shared by the calls below
     for m, want in roster:
         got = cr_residuals(m, "j0")["integrable"]
         pred = predicted_verdict(m, tol)["integrable"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from weakref import WeakValueDictionary
 
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import (
@@ -97,10 +98,6 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
     """
     if model.n_fiber != 0:
         raise ModelError("Levi-Civita solver needs a base model (no fiber legs)")
-    cached = model.__dict__.get("_levi_civita")
-    if cached is not None:
-        return cached
-
     d_forms = [model.d_of(i + 1) for i in range(N)]
     zero = Scalar(0)
     c = [[[zero] * N for _ in range(N)] for _ in range(N)]
@@ -123,25 +120,16 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
             check = check + wedge(gamma_ij, model.basis(j + 1))
         if not check.is_zero():
             raise RuntimeError("first structure equation failed to close")
-    model.__dict__["_levi_civita"] = xi
     return xi
 
 
 # -- torsion of declared bundle connections --------------------------------
 
 
-def _bundle_torsion_cached(model: CoframeModel):
-    """Declared-connection torsion tensor, computed once per model."""
-    cached = model.__dict__.get("_bundle_torsion")
-    if cached is None:
-        gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
-        cached = _bundle_torsion_tensor(model, gamma)
-        model.__dict__["_bundle_torsion"] = cached
-    return cached
-
-
-def _bundle_torsion_tensor(model: CoframeModel, gamma: So3Connection):
-    """Dense T_ijk from the 2-forms d theta^i + Gamma^i_j ^ theta^j."""
+def _bundle_torsion_tensor(model: CoframeModel):
+    """Dense T_ijk from the 2-forms d theta^i + Gamma^i_j ^ theta^j of the
+    declared connection Gamma, and the residual of its skew symmetry."""
+    gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
     x = [[[Scalar(0) for _ in range(N)] for _ in range(N)] for _ in range(N)]
     for i in range(N):
         Ti = model.d_of(i + 1)
@@ -165,25 +153,23 @@ def _bundle_torsion_tensor(model: CoframeModel, gamma: So3Connection):
 
 def nearly_integrable(model: CoframeModel, tol=None):
     """Flag plus residual; exact models give exact verdicts."""
-    if tol is None:
-        tol = get_tol()
+    analysis = Analysis(model, tol)
+    kept = analysis.kept("nearly_integrable")
+    if kept is not None:
+        return kept
+    tol = analysis.tol
     if model.n_fiber == 0:
-        cached = model.__dict__.get("_ni_base")
-        if cached is None:
-            xi = levi_civita(model)
-            img = upsilon_prime(xi)
-            residual = sym4_max_mag(img)
-            exact_zero = all(v.is_zero() for v in img.values()) \
-                if xi.is_exact else None
-            cached = (residual, exact_zero, xi.max_mag())
-            model.__dict__["_ni_base"] = cached
-        residual, exact_zero, mag = cached
-        if exact_zero is not None:
-            return exact_zero, residual
-        return residual <= tol * max(1.0, mag), residual
+        xi = analysis.levi_civita
+        img = upsilon_prime(xi)
+        residual = sym4_max_mag(img)
+        if xi.is_exact:
+            flag = all(v.is_zero() for v in img.values())
+        else:
+            flag = residual <= tol * max(1.0, xi.max_mag())
+        return analysis.keep("nearly_integrable", (flag, residual))
     if not model.has_connection:
         raise ModelError("bundle model lacks a declared connection")
-    x, skew = _bundle_torsion_cached(model)
+    x, skew = analysis.bundle_torsion
     exact = all(x[i][j][k].is_exact
                 for i in range(N) for j in range(N) for k in range(N))
     if exact:
@@ -193,20 +179,18 @@ def nearly_integrable(model: CoframeModel, tol=None):
         scale = max(1.0, max(abs(float(x[i][j][k])) for i in range(N)
                              for j in range(N) for k in range(N)))
         flag = skew <= tol * scale
-    return flag, skew
+    return analysis.keep("nearly_integrable", (flag, skew))
 
 
 def characteristic_connection(model: CoframeModel, tol=None):
     """The group-valued connection and its totally skew torsion 3-form."""
-    if tol is None:
-        tol = get_tol()
+    analysis = Analysis(model, tol)
+    kept = analysis.kept("characteristic")
+    if kept is not None:
+        return kept
+    tol = analysis.tol
     if model.n_fiber == 0:
-        cached = model.__dict__.get("_lc_split")
-        if cached is None:
-            xi = levi_civita(model)
-            cached = (xi, split_connection(xi))
-            model.__dict__["_lc_split"] = cached
-        xi, parts = cached
+        xi, parts = analysis.levi_civita, analysis.split
         rem = parts["remainder"]
         residual = rem.max_mag()
         ok = rem.is_zero() if xi.is_exact else \
@@ -220,18 +204,18 @@ def characteristic_connection(model: CoframeModel, tol=None):
         T = model.zero(3)
         for (a, b, c), v in parts["torsion_coeffs"].items():
             T = T + model.basis(a + 1, b + 1, c + 1) * (2 * v)
-        return gamma, T
+        return analysis.keep("characteristic", (gamma, T))
     flag, skew = nearly_integrable(model, tol)
     if not flag:
         raise StructureError(
             "declared connection has non-skew torsion (residual %.3e)" % skew,
             residual=skew)
     gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
-    x, _ = _bundle_torsion_cached(model)
+    x, _ = analysis.bundle_torsion
     T = model.zero(3)
     for a, b, c in TRIPLES:
         T = T + model.basis(a + 1, b + 1, c + 1) * x[a][b][c]
-    return gamma, T
+    return analysis.keep("characteristic", (gamma, T))
 
 
 # -- curvature --------------------------------------------------------------
@@ -256,35 +240,27 @@ def curvature(model: CoframeModel, gamma: So3Connection):
 def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
     """Residuals of the two differential consistency identities."""
     E = E_matrices()
-
-    def K_entry(i, j):
-        out = model.zero(2)
-        for t in range(3):
-            c = E[t][i][j]
-            if not c.is_zero():
-                out = out + r_forms[t] * c
-        return out
-
+    conn = [[gamma.matrix_entry(i, j) for j in range(N)] for i in range(N)]
+    curv = [[sum((r_forms[t] * E[t][i][j] for t in range(3)
+                  if not E[t][i][j].is_zero()), model.zero(2))
+             for j in range(N)] for i in range(N)]
     dense = _three_form_dense(T)
+    tors = [_torsion_two_form(model, dense, i) for i in range(N)]
     first = 0.0
     for i in range(N):
-        Ti = model.zero(2)
-        for j, k in PAIRS:
-            Ti = Ti + model.basis(j + 1, k + 1) * dense[i][j][k]
-        DTi = ext_d(Ti)
+        res = ext_d(tors[i])
         for j in range(N):
-            DTi = DTi + wedge(gamma.matrix_entry(i, j), _torsion_two_form(model, dense, j))
-        res = DTi
+            res = res + wedge(conn[i][j], tors[j])
         for j in range(N):
-            res = res - wedge(K_entry(i, j), model.basis(j + 1))
+            res = res - wedge(curv[i][j], model.basis(j + 1))
         first = max(first, res.max_coeff_mag())
     second = 0.0
     for i in range(N):
         for j in range(N):
-            DK = ext_d(K_entry(i, j))
+            DK = ext_d(curv[i][j])
             for k in range(N):
-                DK = DK + wedge(gamma.matrix_entry(i, k), K_entry(k, j))
-                DK = DK - wedge(K_entry(i, k), gamma.matrix_entry(k, j))
+                DK = DK + wedge(conn[i][k], curv[k][j])
+                DK = DK - wedge(curv[i][k], conn[k][j])
             second = max(second, DK.max_coeff_mag())
     return {"first": first, "second": second}
 
@@ -320,9 +296,11 @@ def _torsion_two_form(model, dense, i):
 # -- Ricci tensors ----------------------------------------------------------
 
 
-def _lc_riemann(model: CoframeModel):
-    """Riemann tensor of the Levi-Civita connection on a base model."""
-    xi = levi_civita(model)
+def _lc_riemann(model: CoframeModel, xi: ConnTensor = None):
+    """Riemann tensor of the Levi-Civita connection xi (computed when not
+    given) on a base model."""
+    if xi is None:
+        xi = levi_civita(model)
     gamma_forms = [[None] * N for _ in range(N)]
     for i in range(N):
         for j in range(N):
@@ -350,10 +328,13 @@ def _lc_riemann(model: CoframeModel):
 
 def ricci(model: CoframeModel, tol=None):
     """Both Ricci tensors, the relation residual, and torsion differentials."""
-    if tol is None:
-        tol = get_tol()
+    analysis = Analysis(model, tol)
+    kept = analysis.kept("ricci")
+    if kept is not None:
+        return kept
+    tol = analysis.tol
     gamma, T = characteristic_connection(model, tol)
-    r_forms, K = curvature(model, gamma)
+    r_forms, K = analysis.curvature
     ric_gamma = K.ricci()
     dense = _three_form_dense(T)
     quarter = scalar(Fraction(1, 4))
@@ -376,14 +357,14 @@ def ricci(model: CoframeModel, tol=None):
     half = scalar(Fraction(1, 2))
     correction = t_sq.scale(quarter) + sds.scale(half)
     if model.n_fiber == 0:
-        ric_lc = _lc_riemann(model).ricci()
+        ric_lc = analysis.lc_riemann.ricci()
         rel = (ric_lc - ric_gamma - correction).max_mag()
     else:
         ric_lc = ric_gamma + correction
         rel = 0.0
     sym_flag = (ric_gamma - ric_gamma.transpose()).is_zero(tol)
     codiff_zero = sds.is_zero(tol)
-    return {
+    return analysis.keep("ricci", {
         "ric_lc": ric_lc,
         "ric_gamma": ric_gamma,
         "relation_residual": rel,
@@ -396,7 +377,7 @@ def ricci(model: CoframeModel, tol=None):
         "gamma": gamma,
         "r_forms": r_forms,
         "K": K,
-    }
+    })
 
 
 # -- Weyl tensor ------------------------------------------------------------
@@ -404,17 +385,16 @@ def ricci(model: CoframeModel, tol=None):
 
 def weyl(model: CoframeModel, tol=None):
     """Standard five-dimensional conformal decomposition of the Riemann tensor."""
-    if tol is None:
-        tol = get_tol()
+    analysis = Analysis(model, tol)
+    tol = analysis.tol
     if model.n_fiber == 0:
-        riem = _lc_riemann(model)
+        riem = analysis.lc_riemann
     else:
-        gamma, T = characteristic_connection(model, tol)
+        _gamma, T = characteristic_connection(model, tol)
         if not T.is_zero(tol):
             raise ModelError(
                 "Weyl tensor from bundle data needs vanishing torsion")
-        _, K = curvature(model, gamma)
-        riem = K
+        _, riem = analysis.curvature
     ric = riem.ricci()
     s = ric.trace()
     third = scalar(Fraction(1, 3))
@@ -572,18 +552,21 @@ class GeometryReport:
 
 
 def build_report(model: CoframeModel, tol=None) -> GeometryReport:
-    if tol is None:
-        tol = get_tol()
+    analysis = Analysis(model, tol)
+    kept = analysis.kept("report")
+    if kept is not None:
+        return kept
+    tol = analysis.tol
     flag, ni_res = nearly_integrable(model, tol)
     if not flag:
-        return GeometryReport(model_name=model.name, tolerance=tol,
-                              nearly_integrable=False, ni_residual=ni_res,
-                              failure="not nearly integrable")
+        return analysis.keep("report", GeometryReport(
+            model_name=model.name, tolerance=tol, nearly_integrable=False,
+            ni_residual=ni_res, failure="not nearly integrable"))
     data = ricci(model, tol)
     tt = torsion_type(data["torsion"]) if not data["torsion"].is_zero() else None
     comps = decompose_curvature(data["K"], tol)
     bianchi = bianchi_check(model, data["gamma"], data["torsion"], data["r_forms"])
-    return GeometryReport(
+    return analysis.keep("report", GeometryReport(
         model_name=model.name,
         tolerance=tol,
         nearly_integrable=True,
@@ -601,4 +584,91 @@ def build_report(model: CoframeModel, tol=None) -> GeometryReport:
         star_d_star_T=data["star_d_star_T"],
         codifferential_zero=data["codifferential_zero"],
         ric_gamma_symmetric=data["ric_gamma_symmetric"],
-    )
+    ))
+
+
+# -- one analysis per model and tolerance -----------------------------------
+
+
+class _Stages(dict):
+    """Stage results by name; unlike a plain dict it can be weakly held."""
+
+
+class Analysis:
+    """The derived geometry of one model at one tolerance.
+
+    The functions here and in spin and twistor that take (model, tol) keep
+    their results in Analysis(model, tol), and while anyone holds that
+    analysis, Analysis(model, tol) returns the same object: a caller that
+    holds one makes each of those functions compute once for the model and
+    tolerance.  The stages that never read the tolerance (the Levi-Civita
+    connection, its split and Riemann tensor, the torsion of a declared
+    connection) are shared by all the live analyses of the model.  Functions
+    given an explicit connection keep nothing.
+    """
+
+    __slots__ = ("model", "tol", "_shared", "_own", "__weakref__")
+
+    def __new__(cls, model: CoframeModel, tol=None):
+        tol = get_tol() if tol is None else tol
+        # the model holds its analyses and their shared stages weakly: a
+        # model is freed only by the cyclic garbage collector (its cached
+        # d-forms refer back to it), so stages it held strongly would stay
+        # in memory until the next full collection
+        live = model.__dict__.setdefault("_analysis", WeakValueDictionary())
+        self = live.get(tol)
+        if self is None:
+            self = super().__new__(cls)
+            self.model, self.tol, self._own = model, tol, {}
+            self._shared = live.get(None)
+            if self._shared is None:
+                self._shared = live[None] = _Stages()
+            live[tol] = self
+        return self
+
+    def kept(self, stage):
+        """The result kept for `stage` at this tolerance, or None."""
+        return self._own.get(stage)
+
+    def keep(self, stage, value):
+        """Keep `value` as the result of `stage` at this tolerance."""
+        self._own[stage] = value
+        return value
+
+    def _shared_stage(self, stage, build, *args):
+        value = self._shared.get(stage)
+        if value is None:
+            value = self._shared[stage] = build(*args)
+        return value
+
+    @property
+    def levi_civita(self):
+        """The Levi-Civita connection of a base model."""
+        return self._shared_stage("levi_civita", levi_civita, self.model)
+
+    @property
+    def split(self):
+        """The Levi-Civita connection split into a group-valued part, skew
+        torsion and a remainder."""
+        return self._shared_stage("split", split_connection, self.levi_civita)
+
+    @property
+    def lc_riemann(self):
+        """The Riemann tensor of the Levi-Civita connection."""
+        return self._shared_stage("lc_riemann", _lc_riemann, self.model,
+                                  self.levi_civita)
+
+    @property
+    def bundle_torsion(self):
+        """(T_ijk, skew residual) of a bundle model's declared connection."""
+        return self._shared_stage("bundle_torsion", _bundle_torsion_tensor,
+                                  self.model)
+
+    @property
+    def curvature(self):
+        """(r_forms, K) of the characteristic connection."""
+        kept = self.kept("curvature")
+        if kept is not None:
+            return kept
+        gamma, _T = characteristic_connection(self.model, self.tol)
+        return self.keep("curvature", curvature(self.model, gamma))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .connection import characteristic_connection, curvature
+from .connection import Analysis
 from .exterior import CoframeModel
 from .scalar import CScalar, Scalar, cscalar, scalar, sqrt3
 
@@ -195,8 +195,11 @@ def spinor_obstruction(model: CoframeModel, tol: float | None = None):
     nonzero curvature coefficient rules the solution out.  The flat case
     leaves the full 4-dimensional space of constant spinors.
     """
-    gamma, _T = characteristic_connection(model, tol)
-    r_forms, _K = curvature(model, gamma)
+    analysis = Analysis(model, tol)
+    kept = analysis.kept("spinor")
+    if kept is not None:
+        return kept
+    r_forms, _K = analysis.curvature
     basis = spin_basis()
     nine_sixteen = scalar(9) / 16
     entries = []
@@ -222,9 +225,9 @@ def spinor_obstruction(model: CoframeModel, tol: float | None = None):
             "det": d,
             "det_predicted": predicted,
         })
-    return {
+    return analysis.keep("spinor", {
         "W": entries,
         "flat": flat,
         "solution_dim": 4 if flat else 0,
         "det_residual": max_residual,
-    }
+    })

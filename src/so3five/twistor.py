@@ -13,14 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import So3Connection, build_report, characteristic_connection
+from .connection import (
+    Analysis,
+    So3Connection,
+    build_report,
+    characteristic_connection,
+)
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import kappa_forms
 from .scalar import (
     CScalar,
     Scalar,
     cscalar,
-    get_tol,
     mat_mul,
     nullspace,
     rank,
@@ -386,15 +390,14 @@ def twistor_coframe(model: CoframeModel, gamma=None,
     """The displayed complex coframe and its real orthonormal version.
 
     Without an explicit connection the characteristic one is used, checked
-    at tol (the global tolerance when None); the result is cached on the
-    model per tolerance.
+    at tol (the global tolerance when None), and the result is kept in
+    Analysis(model, tol).
     """
     if gamma is None:
-        tol = get_tol() if tol is None else tol
-        cache = model.__dict__.setdefault("_twistor_coframe", {})
-        cached = cache.get(tol)
-        if cached is not None:
-            return cached
+        analysis = Analysis(model, tol)
+        kept = analysis.kept("twistor_coframe")
+        if kept is not None:
+            return kept
     dz = TwistorForm.leg(model, model.dim + 1)
     h = (dz + _connection_terms(model, gamma, tol)) * _INV_ONE_W
     s3 = sqrt3()
@@ -428,7 +431,7 @@ def twistor_coframe(model: CoframeModel, gamma=None,
     out = {"omega": tautological_form(model), "h": h, "u": u,
            "n1": n1, "n2": n2, "theta": theta}
     if gamma is None:
-        cache[tol] = out
+        analysis.keep("twistor_coframe", out)
     return out
 
 
@@ -544,15 +547,15 @@ def _structure_span(cf: dict, which: str):
 def _cr_forms(model: CoframeModel, which: str, gamma, tol: float) -> dict:
     """Each coframe member mu with its residual 6-form d(mu) ^ u ^ span.
 
-    The forms are built once per model, structure and tolerance (unless an
+    The forms are kept per structure in Analysis(model, tol) (unless an
     explicit connection is given) and serve both the exact residuals and
     the sampled cross-check.
     """
     if gamma is None:
-        cache = model.__dict__.setdefault("_cr_residuals", {})
-        cached = cache.get((which, tol))
-        if cached is not None:
-            return cached
+        analysis = Analysis(model, tol)
+        kept = analysis.kept(("cr_forms", which))
+        if kept is not None:
+            return kept
     cf = twistor_coframe(model, gamma, tol)
     span = _structure_span(cf, which)
     u = cf["u"]
@@ -561,7 +564,7 @@ def _cr_forms(model: CoframeModel, which: str, gamma, tol: float) -> dict:
     forms = {name: (mu, mu.d().wedge(wedge_all))
              for name, mu in zip(names, [u] + span)}
     if gamma is None:
-        cache[which, tol] = forms
+        analysis.keep(("cr_forms", which), forms)
     return forms
 
 
@@ -587,14 +590,10 @@ def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
     }
 
 
-def predicted_verdict(model: CoframeModel, tol: float | None = None,
-                      report=None) -> dict:
-    """Integrability forecast from torsion type and curvature content.
-
-    A report already built for the model at this tolerance may be passed
-    in to avoid building it again.
-    """
-    rep = report if report is not None else build_report(model, tol)
+def predicted_verdict(model: CoframeModel, tol: float | None = None) -> dict:
+    """Integrability forecast from torsion type and curvature content; the
+    report kept in Analysis(model, tol) is read, not built again."""
+    rep = Analysis(model, tol).kept("report") or build_report(model, tol)
     if rep.failure:
         raise ModelError(f"cannot classify: {rep.failure}")
     torsion_ok = rep.torsion_t7 is None or rep.torsion_t7.is_zero(tol)

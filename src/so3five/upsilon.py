@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -337,9 +338,13 @@ def verify_so3_structure(y, tol: float | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def E_matrices():
     """The so(3) basis (E1, E2, E3) in the 5-dimensional representation,
-    with [E1,E2] = E3, [E3,E1] = E2, [E2,E3] = E1."""
+    with [E1,E2] = E3, [E3,E1] = E2, [E2,E3] = E1.
+
+    Built once: every caller shares the same rows and must not change them.
+    """
     z, o, r3 = Scalar(0), Scalar(1), sqrt3()
     two = Scalar(2)
     E1 = [[z, z, z, z, r3],

@@ -5,10 +5,13 @@ the captured output are both visible to the assertions.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from so3five.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -336,6 +339,38 @@ class TestCr:
         assert code == 0
         assert json.loads(out)["prediction_matches"] is True
         assert len(calls) == 1
+
+
+class TestOneAnalysis:
+    """A command derives each geometry stage once, and the output of
+    classify --json is pinned byte for byte."""
+
+    def test_classify_runs_each_stage_once(self, capsys, count_calls,
+                                           tor23_file):
+        import so3five.connection as connection
+
+        stages = ("levi_civita", "split_connection", "curvature",
+                  "_lc_riemann", "bianchi_check", "decompose_curvature")
+        calls = count_calls(connection, stages)
+        code, out, _ = run(capsys, "classify", tor23_file, "--json")
+        assert code == 0
+        assert json.loads(out)["catalog"]["all_ok"]
+        assert calls == dict.fromkeys(stages, 1)
+
+    @pytest.mark.parametrize("pinned, entry, params", [
+        ("tor23_rho1", "tor23", {"rho": "1", "eps": "1", "delta": "1"}),
+        ("six_dim_2_t1_1_t2_1", "six-dim-2", {"t1": "1", "t2": "1"}),
+        ("torsion_free_r115_1", "torsion-free", {"r115": "1"}),
+    ])
+    def test_classify_json_is_pinned(self, capsys, tmp_path, pinned, entry,
+                                     params):
+        from so3five.catalog import entry_json
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(entry_json(entry, params)))
+        code, out, _ = run(capsys, "classify", str(path), "--json",
+                           "--tol", "1e-9")
+        assert code == 0
+        assert out == (DATA / f"classify_{pinned}.json").read_text()
 
 
 class TestDecomposeTorsion:

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import so3five.connection as connection
 from so3five.connection import (
+    Analysis,
     GeometryReport,
     So3Connection,
     StructureError,
@@ -23,6 +25,7 @@ from so3five.connection import (
 from so3five.exterior import CoframeModel, ModelError, ext_d, wedge
 from so3five.repr import PAIRS, ConnTensor, Tensor2, kappa_forms
 from so3five.scalar import Scalar, scalar, sqrt3
+from so3five.spin import spinor_obstruction
 from so3five.upsilon import E_matrices
 
 N = 5
@@ -429,3 +432,77 @@ def test_report_failure_path():
     assert rep.failure == "not nearly integrable"
     assert rep.torsion is None
     assert rep.ni_residual > 0.01
+
+
+# -- one analysis per model and tolerance ------------------------------------
+
+
+def near_tor23():
+    """tor23 (rho=1, eps=1, delta=1) with 5e-8 e2^e3 added to d(e1): nearly
+    integrable at 1e-5, not at 1e-9."""
+    from so3five.catalog import entry_json
+    data = entry_json("tor23", {"rho": "1", "eps": "1", "delta": "1"})
+    data["d"]["e1"].append(["5e-8", "e2", "e3"])
+    return CoframeModel.from_json(data, tol=1e-5)
+
+
+def test_wrappers_share_the_held_analysis():
+    model = so3r2(2)
+    analysis = Analysis(model, 1e-9)
+    assert Analysis(model, 1e-9) is analysis
+    rep = build_report(model, 1e-9)
+    assert analysis.kept("report") is rep
+    assert build_report(model, 1e-9) is rep
+    assert ricci(model, 1e-9) is ricci(model, 1e-9)
+    assert characteristic_connection(model, 1e-9) \
+        is characteristic_connection(model, 1e-9)
+    assert spinor_obstruction(model, 1e-9) is spinor_obstruction(model, 1e-9)
+    assert nearly_integrable(model, 1e-9) is nearly_integrable(model)
+
+
+def test_spinor_obstruction_reads_only_the_curvature(count_calls):
+    calls = count_calls(connection, (
+        "curvature", "bianchi_check", "decompose_curvature", "_lc_riemann"))
+    out = spinor_obstruction(case2(1, 1), 1e-9)
+    assert out["solution_dim"] == 0
+    assert dict(calls) == {"curvature": 1}
+
+
+def test_tolerance_stages_are_never_shared(count_calls):
+    calls = count_calls(connection, ("levi_civita", "curvature"))
+    model, fresh = near_tor23(), near_tor23()
+    loose = Analysis(model, 1e-5)
+    assert build_report(model, 1e-5).nearly_integrable
+    held = [Analysis(m, 1e-9) for m in (model, fresh)]
+    assert nearly_integrable(model, 1e-9) == nearly_integrable(fresh, 1e-9)
+    assert not nearly_integrable(model, 1e-9)[0]
+    assert build_report(model, 1e-9).failure \
+        == build_report(fresh, 1e-9).failure == "not nearly integrable"
+    for m in (model, fresh):
+        with pytest.raises(StructureError):
+            characteristic_connection(m, 1e-9)
+    # the Levi-Civita connection does not read the tolerance: once per model
+    assert calls == {"levi_civita": 2, "curvature": 1}
+    assert build_report(model, 1e-5) is loose.kept("report")
+    assert all(a.kept("report").failure for a in held)
+
+
+def test_stages_are_freed_with_their_analysis(count_calls):
+    """The model holds its analyses weakly, so dropping the analysis frees
+    its stages at once, without the cyclic garbage collector."""
+    import gc
+    import weakref
+
+    calls = count_calls(connection, ("bianchi_check",))
+    model = so3r2(2)
+    gc.disable()
+    try:
+        analysis = Analysis(model, 1e-9)
+        assert build_report(model, 1e-9).nearly_integrable
+        ref = weakref.ref(analysis)
+        del analysis
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert build_report(model, 1e-9).nearly_integrable
+    assert calls == {"bianchi_check": 2}

@@ -13,7 +13,7 @@ from so3five.catalog import (
     torsion_free_model,
 )
 from so3five.catalog import entry_json
-from so3five.connection import StructureError
+from so3five.connection import Analysis, StructureError
 from so3five.exterior import (
     CoframeModel,
     Form,
@@ -47,24 +47,32 @@ from so3five.twistor import (
 )
 
 
+def held(model):
+    """Yield the model while holding its analysis at the default tolerance,
+    so the tests of a module share its stages as the calls of one command
+    do."""
+    analysis = Analysis(model)
+    yield analysis.model
+
+
 @pytest.fixture(scope="module")
 def tf1():
-    return torsion_free_model(1)
+    yield from held(torsion_free_model(1))
 
 
 @pytest.fixture(scope="module")
 def t23():
-    return tor23_model(1, 0, 1, 0)
+    yield from held(tor23_model(1, 0, 1, 0))
 
 
 @pytest.fixture(scope="module")
 def t27():
-    return tor27_model(1, 0)
+    yield from held(tor27_model(1, 0))
 
 
 @pytest.fixture(scope="module")
 def sd211():
-    return six_dim_model(2, t1=1, t2=1)
+    yield from held(six_dim_model(2, t1=1, t2=1))
 
 
 # -- fiber functions --------------------------------------------------------

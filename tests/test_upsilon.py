@@ -358,3 +358,7 @@ def test_json_requires_sorted_indices():
         TernaryForm.from_json({"upsilon": [[2, 1, 1, "1"]]})
     with pytest.raises(ValueError):
         TernaryForm.from_json({"nope": []})
+
+
+def test_so3_basis_is_built_once():
+    assert E_matrices() is E_matrices()
