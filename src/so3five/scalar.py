@@ -643,6 +643,12 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
+def zeros(n, like=None):
+    """The n x n zero matrix, over the field of `like` (Scalar when None)."""
+    zero = _zero_like(like) if like is not None else Scalar(0)
+    return [[zero] * n for _ in range(n)]
+
+
 def identity(n, like=None):
     one = _one_like(like) if like is not None else Scalar(1)
     zero = _zero_like(like) if like is not None else Scalar(0)

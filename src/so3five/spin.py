@@ -13,58 +13,25 @@ from functools import lru_cache
 
 from .connection import Analysis
 from .exterior import CoframeModel
-from .scalar import CScalar, Scalar, cscalar, scalar, sqrt3
+from .scalar import (
+    I,
+    CScalar,
+    Scalar,
+    cscalar,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    scalar,
+    sqrt3,
+    zeros,
+)
 
 HALF = Scalar(1) / 2
+NINE_SIXTEENTHS = Scalar(9) / 16
 PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
 
-# -- small dense 4x4 complex matrices ---------------------------------------
-
-
-def zero4():
-    return [[CScalar(0) for _ in range(4)] for _ in range(4)]
-
-
-def identity4():
-    return [[CScalar(1 if i == j else 0) for j in range(4)] for i in range(4)]
-
-
-def mat_add(A, B):
-    return [[A[i][j] + B[i][j] for j in range(4)] for i in range(4)]
-
-
-def mat_sub(A, B):
-    return [[A[i][j] - B[i][j] for j in range(4)] for i in range(4)]
-
-
-def mat_scale(A, s):
-    s = cscalar(s)
-    return [[A[i][j] * s for j in range(4)] for i in range(4)]
-
-
-def mat_mul(A, B):
-    out = zero4()
-    for i in range(4):
-        for k in range(4):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(4):
-                out[i][j] = out[i][j] + a * B[k][j]
-    return out
-
-
-def commutator4(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
-def mat_is_zero(A, tol: float | None = None) -> bool:
-    return all(A[i][j].is_zero(tol) for i in range(4) for j in range(4))
-
-
-def mat_max_mag(A) -> float:
-    return max(A[i][j].mag() for i in range(4) for j in range(4))
+# -- 4x4 determinant -------------------------------------------------------
 
 
 def det4(A) -> CScalar:
@@ -133,15 +100,12 @@ def clifford_basis() -> CliffordRep:
 def spin_basis() -> SpinBasis:
     cl = clifford_basis()
     s3 = sqrt3()
-    E1 = mat_scale(mat_add(mat_scale(cl.product(1, 5), s3),
-                           mat_add(cl.product(2, 3), cl.product(4, 5))),
-                   HALF)
-    E2 = mat_scale(mat_add(mat_scale(cl.product(1, 3), s3),
-                           mat_add(cl.product(2, 5), cl.product(3, 4))),
-                   HALF)
-    E3 = mat_scale(mat_add(mat_scale(cl.product(2, 4), Scalar(2)),
-                           cl.product(3, 5)),
-                   HALF)
+    E1 = mat_scale(HALF, mat_add(mat_scale(s3, cl.product(1, 5)),
+                                 mat_add(cl.product(2, 3), cl.product(4, 5))))
+    E2 = mat_scale(HALF, mat_add(mat_scale(s3, cl.product(1, 3)),
+                                 mat_add(cl.product(2, 5), cl.product(3, 4))))
+    E3 = mat_scale(HALF, mat_add(mat_scale(Scalar(2), cl.product(2, 4)),
+                                 cl.product(3, 5)))
     return SpinBasis((E1, E2, E3))
 
 
@@ -153,7 +117,7 @@ def spin_lift(A):
     Lie algebra isomorphism onto its image.
     """
     cl = clifford_basis()
-    out = zero4()
+    out = zeros(4, like=I)
     for i, j in PAIRS:
         c = A[i][j]
         if isinstance(c, CScalar):
@@ -161,18 +125,8 @@ def spin_lift(A):
                 continue
         elif c.is_zero():
             continue
-        out = mat_add(out, mat_scale(cl.product(i + 1, j + 1), c * HALF))
+        out = mat_add(out, mat_scale(c * HALF, cl.product(i + 1, j + 1)))
     return out
-
-
-def vector_bracket(A, B):
-    """Commutator of two 5x5 matrices over Scalar entries."""
-    n = len(A)
-    prod1 = [[sum((A[i][k] * B[k][j] for k in range(n)), scalar(0))
-              for j in range(n)] for i in range(n)]
-    prod2 = [[sum((B[i][k] * A[k][j] for k in range(n)), scalar(0))
-              for j in range(n)] for i in range(n)]
-    return [[prod1[i][j] - prod2[i][j] for j in range(n)] for i in range(n)]
 
 
 def f_matrix(i: int, j: int):
@@ -184,6 +138,23 @@ def f_matrix(i: int, j: int):
 
 
 # -- obstruction to covariantly constant spinors ----------------------------
+
+
+def det_identity(coeffs):
+    """W = sum_I c_I bold-E_I, det W, and (9/16) (sum_I c_I^2)^2.
+
+    The determinant identity says the two agree for every coefficient
+    triple.  Returns (W, det W, predicted, |det W - predicted|); zero
+    coefficients add nothing to W and are skipped.
+    """
+    W = zeros(4, like=I)
+    for c, E in zip(coeffs, spin_basis().E):
+        if not c.is_zero():
+            W = mat_add(W, mat_scale(cscalar(c), E))
+    d = det4(W)
+    square_sum = sum((c * c for c in coeffs), scalar(0))
+    predicted = NINE_SIXTEENTHS * square_sum * square_sum
+    return W, d, predicted, (d - cscalar(predicted)).mag()
 
 
 def spinor_obstruction(model: CoframeModel, tol: float | None = None):
@@ -200,8 +171,6 @@ def spinor_obstruction(model: CoframeModel, tol: float | None = None):
     if kept is not None:
         return kept
     r_forms, _K = analysis.curvature
-    basis = spin_basis()
-    nine_sixteen = scalar(9) / 16
     entries = []
     flat = True
     max_residual = 0.0
@@ -209,14 +178,7 @@ def spinor_obstruction(model: CoframeModel, tol: float | None = None):
         coeffs = [r.coeff((i + 1, j + 1)) for r in r_forms]
         if not all(c.is_zero(tol) for c in coeffs):
             flat = False
-        W = zero4()
-        for c, E in zip(coeffs, basis.E):
-            if not c.is_zero():
-                W = mat_add(W, mat_scale(E, c))
-        d = det4(W)
-        square_sum = sum((c * c for c in coeffs), scalar(0))
-        predicted = nine_sixteen * square_sum * square_sum
-        residual = (d - cscalar(predicted)).mag()
+        W, d, predicted, residual = det_identity(coeffs)
         max_residual = max(max_residual, residual)
         entries.append({
             "pair": (i + 1, j + 1),

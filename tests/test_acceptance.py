@@ -55,13 +55,16 @@ from so3five.scalar import (
     Scalar,
     cscalar,
     get_tol,
+    mat_add,
     mat_mul,
+    mat_scale,
     mat_sub,
     rank,
     scalar,
     sqrt3,
+    zeros,
 )
-from so3five.spin import det4, mat_add, mat_scale, spin_basis, zero4, spinor_obstruction
+from so3five.spin import det4, spin_basis, spinor_obstruction
 from so3five.twistor import (
     cr_residuals,
     g2_form,
@@ -99,9 +102,9 @@ def _comm(A, B):
 
 def _spin_det_residual(c1, c2, c3):
     basis = spin_basis()
-    W = zero4()
+    W = zeros(4, like=cscalar(0))
     for c, E in zip((c1, c2, c3), basis.E):
-        W = mat_add(W, mat_scale(E, c))
+        W = mat_add(W, mat_scale(c, E))
     square_sum = c1 * c1 + c2 * c2 + c3 * c3
     predicted = (scalar(9) / 16) * square_sum * square_sum
     return (det4(W) - cscalar(predicted)).mag()

@@ -4,7 +4,9 @@ Every invocation goes through main(argv) in-process so the exit code and
 the captured output are both visible to the assertions.
 """
 
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,12 @@ import pytest
 from so3five.cli import main
 
 DATA = Path(__file__).parent / "data"
+
+# acceptance-04's residual comes from LAPACK's QR, so the pinned selftest
+# text matches it by format only
+ACCEPTANCE_04 = re.compile(
+    r"(acceptance-04 frame adaptation  \[max residual )"
+    r"\d\.\d\de[-+]\d\d+\]")
 
 
 def run(capsys, *argv):
@@ -401,6 +409,27 @@ class TestDecomposeTorsion:
         code, _, _ = run(capsys, "decompose-torsion", not_ni_file)
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    @pytest.mark.parametrize("pinned", ["tor23_rho1", "perturbed_tor23"])
+    def test_output_is_pinned(self, capsys, tmp_path, tor23_file, pinned,
+                              fmt):
+        # tor23 (rho=1, eps=1, delta=1), and the same with 1e-7 e2^e3 added
+        # to d(e1), read at --tol 1e-5
+        argv = [tor23_file] if pinned == "tor23_rho1" else \
+            [perturbed_tor23(tmp_path, "1e-7"), "--tol", "1e-5"]
+        if fmt == "json":
+            argv.append("--json")
+        code, out, _ = run(capsys, "decompose-torsion", *argv)
+        assert code == 0
+        assert out == (DATA / f"decompose_torsion_{pinned}.{fmt}").read_text()
+
+
+def assert_pinned_selftest(out, pinned):
+    want = (DATA / pinned).read_text()
+    got, found = ACCEPTANCE_04.subn(r"\1]", out)
+    assert found == 1
+    assert got == ACCEPTANCE_04.sub(r"\1]", want)
+
 
 class TestSelftest:
     def test_deterministic_pass_with_all_rows(self, capsys):
@@ -412,12 +441,35 @@ class TestSelftest:
         assert "FAIL" not in out_a
         for k in range(1, 13):
             assert f"acceptance-{k:02d}" in out_a
+        assert_pinned_selftest(out_a, "selftest_seed_7.txt")
 
     def test_sub_machine_tolerance_flagged(self, capsys):
         code, out, _ = run(capsys, "selftest", "--tol", "1e-16")
         assert code == 1
         assert "FAIL (tolerance)" in out
         assert "tolerance-limited" in out
+        assert_pinned_selftest(out, "selftest_tol_1e-16.txt")
+
+    def test_twistor_rows_use_the_tolerance(self, capsys, monkeypatch):
+        # cli imports cr_residuals by name, so the wrapper goes into both
+        # namespaces
+        import so3five.cli as cli
+        import so3five.twistor as twistor
+
+        real = twistor.cr_residuals
+        signature = inspect.signature(real)
+        tols = []
+
+        def recording(*args, **kwargs):
+            tols.append(signature.bind(*args, **kwargs).arguments.get("tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(twistor, "cr_residuals", recording)
+        monkeypatch.setattr(cli, "cr_residuals", recording)
+        code, out, _ = run(capsys, "selftest", "--tol", "1e-10")
+        assert code == 0
+        assert "23/23 checks passed" in out
+        assert tols and all(t == 1e-10 for t in tols)
 
 
 class TestParser:

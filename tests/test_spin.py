@@ -9,24 +9,26 @@ from so3five.catalog import (
     solve_flat_constraints,
     torsion_free_model,
 )
-from so3five.scalar import CScalar, Scalar, scalar, sqrt3
-from so3five.spin import (
-    PAIRS,
-    clifford_basis,
-    commutator4,
-    det4,
-    f_matrix,
-    identity4,
+from so3five.scalar import (
+    CScalar,
+    Scalar,
+    identity,
     mat_add,
-    mat_is_zero,
     mat_mul,
     mat_scale,
     mat_sub,
+    scalar,
+    sqrt3,
+    zeros,
+)
+from so3five.spin import (
+    PAIRS,
+    clifford_basis,
+    det4,
+    f_matrix,
     spin_basis,
     spin_lift,
     spinor_obstruction,
-    vector_bracket,
-    zero4,
 )
 from so3five.upsilon import E_matrices
 
@@ -35,13 +37,21 @@ def cm(re=0, im=0):
     return CScalar(re, im)
 
 
+def mat_is_zero(A):
+    return all(x.is_zero() for row in A for x in row)
+
+
+def commutator(A, B):
+    return mat_sub(mat_mul(A, B), mat_mul(B, A))
+
+
 S3 = sqrt3()
 H = Scalar(1) / 2
 
 
 def test_clifford_squares_and_anticommutators():
     cl = clifford_basis()
-    ident = identity4()
+    ident = identity(4, like=cm())
     for i in range(1, 6):
         assert mat_is_zero(mat_sub(cl.product(i, i), ident))
     for i in range(1, 6):
@@ -77,7 +87,7 @@ def displayed_spin_basis():
              [cm(), cm(0, -2), cm(), cm(0, 1)],
              [cm(0, 1), cm(), cm(0, 2), cm()],
              [cm(), cm(0, 1), cm(), cm(0, -2)]]
-    return [mat_scale(m, H) for m in (rows1, rows2, rows3)]
+    return [mat_scale(H, m) for m in (rows1, rows2, rows3)]
 
 
 def test_spin_basis_matches_displayed_matrices():
@@ -94,9 +104,9 @@ def test_spin_basis_traceless():
 
 def test_spin_basis_so3_brackets():
     E1, E2, E3 = spin_basis().E
-    assert mat_is_zero(mat_sub(commutator4(E1, E2), E3))
-    assert mat_is_zero(mat_sub(commutator4(E2, E3), E1))
-    assert mat_is_zero(mat_sub(commutator4(E3, E1), E2))
+    assert mat_is_zero(mat_sub(commutator(E1, E2), E3))
+    assert mat_is_zero(mat_sub(commutator(E2, E3), E1))
+    assert mat_is_zero(mat_sub(commutator(E3, E1), E2))
 
 
 def test_lift_of_vector_basis_is_spin_basis():
@@ -108,7 +118,7 @@ def test_lift_on_all_generators():
     cl = clifford_basis()
     for i, j in PAIRS:
         lifted = spin_lift(f_matrix(i + 1, j + 1))
-        direct = mat_scale(cl.product(i + 1, j + 1), H)
+        direct = mat_scale(H, cl.product(i + 1, j + 1))
         assert mat_is_zero(mat_sub(lifted, direct))
 
 
@@ -117,15 +127,15 @@ def test_lift_is_a_lie_algebra_homomorphism():
     lifts = [spin_lift(g) for g in gens]
     for a in range(10):
         for b in range(a + 1, 10):
-            left = spin_lift(vector_bracket(gens[a], gens[b]))
-            right = commutator4(lifts[a], lifts[b])
+            left = spin_lift(commutator(gens[a], gens[b]))
+            right = commutator(lifts[a], lifts[b])
             assert mat_is_zero(mat_sub(left, right))
 
 
 def det_identity_residual(c1, c2, c3):
     E1, E2, E3 = spin_basis().E
-    W = mat_add(mat_add(mat_scale(E1, c1), mat_scale(E2, c2)),
-                mat_scale(E3, c3))
+    W = mat_add(mat_add(mat_scale(c1, E1), mat_scale(c2, E2)),
+                mat_scale(c3, E3))
     d = det4(W)
     ssum = c1 * c1 + c2 * c2 + c3 * c3
     predicted = scalar(Fraction(9, 16)) * ssum * ssum
@@ -190,6 +200,6 @@ def test_obstruction_on_curved_six_dim_case2():
 
 
 def test_zero_matrix_det():
-    assert det4(zero4()).is_zero()
-    prod = mat_mul(zero4(), identity4())
+    assert det4(zeros(4, like=cm())).is_zero()
+    prod = mat_mul(zeros(4, like=cm()), identity(4, like=cm()))
     assert mat_is_zero(prod)
