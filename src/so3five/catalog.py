@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exterior import CoframeModel, ModelError
 from .repr import Tensor2, kappa_forms
-from .scalar import Scalar, get_tol, scalar, sqrt3
+from .scalar import DEFAULT_TOL, Scalar, scalar, sqrt3
 
 N = 5
 S3 = sqrt3()
@@ -158,10 +158,8 @@ def flat_constraint_residuals(t):
     ]
 
 
-def flat_char_model(t, tol=None) -> CoframeModel:
+def flat_char_model(t, tol=DEFAULT_TOL) -> CoframeModel:
     """Structure with vanishing group-valued curvature; ten coefficients."""
-    if tol is None:
-        tol = get_tol()
     res = flat_constraint_residuals(t)
     exact = all(r.is_exact for r in res)
     bad = [float(r) for r in res]
@@ -599,7 +597,7 @@ def resolve_params(entry: CatalogEntry, given=None):
         else:
             try:
                 val = int(raw)
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, OverflowError):
                 raise ModelError("bad value %r for parameter %s"
                                  % (raw, spec.name)) from None
             if val not in spec.choices:
@@ -645,7 +643,7 @@ def expected_properties(name, resolved, model):
     return entry.expected(model, **resolved)
 
 
-def verify_expectations(model, expect, tol=None):
+def verify_expectations(model, expect, tol=DEFAULT_TOL):
     """Compare computed geometry against the expected oracles.
 
     Returns a list of rows {check, ok, residual, expected, computed};
@@ -653,8 +651,6 @@ def verify_expectations(model, expect, tol=None):
     Analysis(model, tol) is read, not built again.
     """
     from .connection import Analysis, build_report
-    if tol is None:
-        tol = get_tol()
     report = Analysis(model, tol).kept("report") or build_report(model, tol)
     rows = []
 

@@ -5,9 +5,11 @@ check CR integrability on the sphere bundle, decompose the characteristic
 torsion, and run the deterministic self-test battery.
 
 Exit codes are stable: 0 on success, 1 on input or schema errors, 2 when
-the structure exists but is not nearly integrable.  The SO3FIVE_TOL
-environment variable overrides the default tolerance; --tol overrides
-both for a single invocation.
+the structure exists but is not nearly integrable.
+
+The tolerance is read once, in main: --tol, else the SO3FIVE_TOL
+environment variable, else 1e-9.  Every command passes it down as an
+argument, so the variable and the flag are the same setting.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .repr import (
     projector_matrices,
     upsilon_prime_matrix,
 )
-from .scalar import Scalar, get_tol, rank, scalar, sqrt3
+from .scalar import DEFAULT_TOL, Scalar, get_tol, rank, scalar, sqrt3
 from .spin import det_identity, spinor_obstruction
 from .twistor import (
     cr_residuals,
@@ -122,7 +124,7 @@ def _json_mat_lines(rows, indent="    "):
     return [indent + "[" + "  ".join(row) + "]" for row in rows]
 
 
-def _read_model(path, tol=None):
+def _read_model(path, tol):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -158,18 +160,26 @@ def _einstein(report, tol):
 
 
 def _catalog_rows(model, stanza, tol):
+    """The expected-property rows of the file's catalog stanza."""
+    if not isinstance(stanza, dict):
+        raise ModelError("catalog must be an object (at /catalog)")
     name = stanza.get("entry")
-    if name not in CATALOG:
-        raise ModelError(f"unknown catalog entry {name!r} in catalog stanza")
-    resolved = resolve_params(CATALOG[name], stanza.get("params") or {})
+    if not isinstance(name, str) or name not in CATALOG:
+        raise ModelError(f"unknown catalog entry {name!r} (at /catalog/entry)")
+    params = stanza.get("params") or {}
+    if not isinstance(params, dict):
+        raise ModelError("catalog params must be an object (at /catalog/params)")
+    try:
+        resolved = resolve_params(CATALOG[name], params)
+    except ModelError as e:
+        raise ModelError(f"{e} (at /catalog/params)") from None
     expect = expected_properties(name, resolved, model)
     return verify_expectations(model, expect, tol)
 
 
-def classify_data(model: CoframeModel, data=None, tol=None) -> dict:
+def classify_data(model: CoframeModel, data=None, tol=DEFAULT_TOL) -> dict:
     """Everything cmd_classify reports, as one JSON-ready dictionary."""
     analysis = Analysis(model, tol)  # held, so every stage below runs once
-    tol = analysis.tol
     report = build_report(model, tol)
     out = {
         "model": model.name,
@@ -346,9 +356,9 @@ def cmd_catalog(words) -> int:
 
 
 def cmd_cr(args) -> int:
-    model, _ = _read_model(args.file, args.tol)
-    analysis = Analysis(model, args.tol)  # held across the calls below
-    tol = analysis.tol
+    tol = args.tol
+    model, _ = _read_model(args.file, tol)
+    analysis = Analysis(model, tol)  # held across the calls below
     report = build_report(model, tol)
     if not report.nearly_integrable:
         print(f"model: {model.name}")
@@ -397,8 +407,8 @@ def cmd_cr(args) -> int:
 
 
 def cmd_decompose_torsion(args) -> int:
-    model, _ = _read_model(args.file, args.tol)
-    tol = args.tol if args.tol is not None else get_tol()
+    tol = args.tol
+    model, _ = _read_model(args.file, tol)
     report = build_report(model, tol)
     if not report.nearly_integrable:
         print(f"model: {model.name}")
@@ -455,14 +465,15 @@ def _selftest_table(seed, tol):
     def j0_right(m, want):
         """Whether the j0 residuals and the forecast both say `want`."""
         analysis = Analysis(m, cr_tol)  # held across both calls
-        return cr_residuals(m, "j0", tol=analysis.tol)["integrable"] == want \
+        return cr_residuals(m, "j0", tol=cr_tol)["integrable"] == want \
             and predicted_verdict(m, tol)["integrable"] == want
 
     # tor23(1,0,1,0) is j0-integrable, tor27(1,0) is not; the analysis of
     # the first is held for both sphere-bundle rows
     t23 = Analysis(tor23_model(1, 0, 1, 0), cr_tol)
     sphere_ok = omega_normalization(t23.model) == 5 \
-        and gram_residual(t23.model) == 0.0 and j0_right(t23.model, True) \
+        and gram_residual(t23.model, tol=cr_tol) == 0.0 \
+        and j0_right(t23.model, True) \
         and j0_right(tor27_model(1, 0), False)
 
     def exterior_ok():
@@ -568,8 +579,8 @@ def _selftest_table(seed, tol):
         ("acceptance-11 sphere-bundle verdicts", lambda: sphere_ok
          and j0_right(six_dim_model(2, t1=1, t2=2), True)
          and j0_right(flat_char_model([1] + [0] * 9), False)
-         and g2_form(t23.model)["match"]
-         and quarter_identity(t23.model)["consistent"],
+         and g2_form(t23.model, tol=cr_tol)["match"]
+         and quarter_identity(t23.model, tol=cr_tol)["consistent"],
          False),
         # out-of-scope claims are excluded by design, not silently skipped
         ("acceptance-12 exclusions documented", lambda: (
@@ -580,9 +591,8 @@ def _selftest_table(seed, tol):
 
 
 def cmd_selftest(args) -> int:
-    tol = args.tol if args.tol is not None else get_tol()
-    table = _selftest_table(args.seed, tol)
-    print(f"selftest seed={args.seed} tolerance={tol:g}")
+    table = _selftest_table(args.seed, args.tol)
+    print(f"selftest seed={args.seed} tolerance={args.tol:g}")
     print("-- module invariants --")
     failed = []  # tolerance_limited of each failed row
     for name, check, tolerance_limited in table:
@@ -611,36 +621,39 @@ def _build_parser():
                 description="irreducible rotation-group structures on "
                             "5-dimensional geometries")
     sub = p.add_subparsers(dest="command", required=True)
+    # None means "not given"; main resolves it
+    tol_flag = argparse.ArgumentParser(add_help=False)
+    tol_flag.add_argument("--tol", type=float, default=None)
 
-    c = sub.add_parser("classify", help="classify a model file")
+    c = sub.add_parser("classify", help="classify a model file",
+                       parents=[tol_flag])
     c.add_argument("file")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--tol", type=float, default=None)
     c.set_defaults(func=cmd_classify)
 
     cat = sub.add_parser("catalog", help="list or emit catalog models")
     cat.add_argument("words", nargs=argparse.REMAINDER)
     cat.set_defaults(func=lambda a: cmd_catalog(a.words))
 
-    cr = sub.add_parser("cr", help="CR integrability on the sphere bundle")
+    cr = sub.add_parser("cr", help="CR integrability on the sphere bundle",
+                        parents=[tol_flag])
     cr.add_argument("file")
     cr.add_argument("--structure", choices=["j0", "j0m", "jm", "jmm"],
                     default="j0")
     cr.add_argument("--seed", type=int, default=0)
-    cr.add_argument("--tol", type=float, default=None)
     cr.add_argument("--json", action="store_true")
     cr.set_defaults(func=cmd_cr)
 
     dt = sub.add_parser("decompose-torsion",
-                        help="characteristic torsion and its class split")
+                        help="characteristic torsion and its class split",
+                        parents=[tol_flag])
     dt.add_argument("file")
-    dt.add_argument("--tol", type=float, default=None)
     dt.add_argument("--json", action="store_true")
     dt.set_defaults(func=cmd_decompose_torsion)
 
-    st = sub.add_parser("selftest", help="deterministic invariant battery")
+    st = sub.add_parser("selftest", help="deterministic invariant battery",
+                        parents=[tol_flag])
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--tol", type=float, default=None)
     st.set_defaults(func=cmd_selftest)
     return p
 
@@ -651,6 +664,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    if hasattr(args, "tol") and args.tol is None:  # catalog takes no --tol
+        args.tol = get_tol()  # --tol, else SO3FIVE_TOL, else 1e-9
     try:
         return args.func(args)
     except StructureError as e:

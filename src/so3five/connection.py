@@ -28,7 +28,7 @@ from .repr import (
     torsion_type,
     upsilon_prime,
 )
-from .scalar import Scalar, get_tol, scalar, sqrt3
+from .scalar import DEFAULT_TOL, Scalar, scalar, sqrt3
 from .upsilon import E_matrices
 
 N = 5
@@ -81,7 +81,7 @@ class So3Connection:
     def is_exact(self):
         return all(g.is_exact for g in self.gammas)
 
-    def is_zero(self, tol=None):
+    def is_zero(self, tol=DEFAULT_TOL):
         return all(g.is_zero(tol) for g in self.gammas)
 
 
@@ -138,7 +138,7 @@ def _bundle_torsion_tensor(model: CoframeModel):
         if Ti.has_fiber_legs():
             raise ModelError(
                 "declared connection does not absorb the vertical part of "
-                "d theta^%d" % (i + 1))
+                "d theta^%d (at /connection)" % (i + 1))
         for j, k in PAIRS:
             v = Ti.coeff((j + 1, k + 1))
             x[i][j][k] = v
@@ -151,13 +151,12 @@ def _bundle_torsion_tensor(model: CoframeModel):
     return x, skew
 
 
-def nearly_integrable(model: CoframeModel, tol=None):
+def nearly_integrable(model: CoframeModel, tol=DEFAULT_TOL):
     """Flag plus residual; exact models give exact verdicts."""
     analysis = Analysis(model, tol)
     kept = analysis.kept("nearly_integrable")
     if kept is not None:
         return kept
-    tol = analysis.tol
     if model.n_fiber == 0:
         xi = analysis.levi_civita
         img = upsilon_prime(xi)
@@ -168,7 +167,8 @@ def nearly_integrable(model: CoframeModel, tol=None):
             flag = residual <= tol * max(1.0, xi.max_mag())
         return analysis.keep("nearly_integrable", (flag, residual))
     if not model.has_connection:
-        raise ModelError("bundle model lacks a declared connection")
+        raise ModelError("bundle model lacks a declared connection "
+                         "(at /connection)")
     x, skew = analysis.bundle_torsion
     exact = all(x[i][j][k].is_exact
                 for i in range(N) for j in range(N) for k in range(N))
@@ -182,13 +182,12 @@ def nearly_integrable(model: CoframeModel, tol=None):
     return analysis.keep("nearly_integrable", (flag, skew))
 
 
-def characteristic_connection(model: CoframeModel, tol=None):
+def characteristic_connection(model: CoframeModel, tol=DEFAULT_TOL):
     """The group-valued connection and its totally skew torsion 3-form."""
     analysis = Analysis(model, tol)
     kept = analysis.kept("characteristic")
     if kept is not None:
         return kept
-    tol = analysis.tol
     if model.n_fiber == 0:
         xi, parts = analysis.levi_civita, analysis.split
         rem = parts["remainder"]
@@ -326,13 +325,12 @@ def _lc_riemann(model: CoframeModel, xi: ConnTensor = None):
     return CurvTensor(x)
 
 
-def ricci(model: CoframeModel, tol=None):
+def ricci(model: CoframeModel, tol=DEFAULT_TOL):
     """Both Ricci tensors, the relation residual, and torsion differentials."""
     analysis = Analysis(model, tol)
     kept = analysis.kept("ricci")
     if kept is not None:
         return kept
-    tol = analysis.tol
     gamma, T = characteristic_connection(model, tol)
     r_forms, K = analysis.curvature
     ric_gamma = K.ricci()
@@ -383,10 +381,9 @@ def ricci(model: CoframeModel, tol=None):
 # -- Weyl tensor ------------------------------------------------------------
 
 
-def weyl(model: CoframeModel, tol=None):
+def weyl(model: CoframeModel, tol=DEFAULT_TOL):
     """Standard five-dimensional conformal decomposition of the Riemann tensor."""
     analysis = Analysis(model, tol)
-    tol = analysis.tol
     if model.n_fiber == 0:
         riem = analysis.lc_riemann
     else:
@@ -456,14 +453,14 @@ class CForm:
         return CForm(wedge(self.re, other.re) - wedge(self.im, other.im),
                      wedge(self.re, other.im) + wedge(self.im, other.re))
 
-    def is_zero(self, tol=None):
+    def is_zero(self, tol=DEFAULT_TOL):
         return self.re.is_zero(tol) and self.im.is_zero(tol)
 
     def max_mag(self):
         return max(self.re.max_coeff_mag(), self.im.max_coeff_mag())
 
 
-def cartan_su3(model: CoframeModel, gamma: So3Connection, tol=None):
+def cartan_su3(model: CoframeModel, gamma: So3Connection, tol=DEFAULT_TOL):
     """Assemble the complex Cartan connection and its curvature.
 
     The matrix pairs the three real connection forms with the coframe
@@ -471,8 +468,6 @@ def cartan_su3(model: CoframeModel, gamma: So3Connection, tol=None):
     splits into a real part (curvature shifted by the invariant 2-forms)
     and an imaginary part (the lifted torsion).
     """
-    if tol is None:
-        tol = get_tol()
     th = [model.basis(k + 1) for k in range(N)]
     g1, g2, g3 = gamma.gammas
     z1 = model.zero(1)
@@ -551,12 +546,11 @@ class GeometryReport:
     failure: str = None
 
 
-def build_report(model: CoframeModel, tol=None) -> GeometryReport:
+def build_report(model: CoframeModel, tol=DEFAULT_TOL) -> GeometryReport:
     analysis = Analysis(model, tol)
     kept = analysis.kept("report")
     if kept is not None:
         return kept
-    tol = analysis.tol
     flag, ni_res = nearly_integrable(model, tol)
     if not flag:
         return analysis.keep("report", GeometryReport(
@@ -609,8 +603,7 @@ class Analysis:
 
     __slots__ = ("model", "tol", "_shared", "_own", "__weakref__")
 
-    def __new__(cls, model: CoframeModel, tol=None):
-        tol = get_tol() if tol is None else tol
+    def __new__(cls, model: CoframeModel, tol=DEFAULT_TOL):
         # the model holds its analyses and their shared stages weakly: a
         # model is freed only by the cyclic garbage collector (its cached
         # d-forms refer back to it), so stages it held strongly would stay

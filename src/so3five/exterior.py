@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 
-from .scalar import Scalar, scalar
+from .scalar import DEFAULT_TOL, Scalar, scalar
 
 N_BASE = 5
 _ALLOWED_FIBERS = (0, 1, 3)
@@ -105,7 +105,7 @@ class Form:
             return self.ring(0)
         return c if sign > 0 else -c
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return all(v.is_zero(tol) for v in self.terms.values())
 
     @property
@@ -184,7 +184,7 @@ class CoframeModel:
     so(3) connection (three 1-forms)."""
 
     def __init__(self, name: str, d=None, n_fiber: int = 0, labels=None,
-                 connection=None, check: bool = True, tol: float | None = None):
+                 connection=None, check: bool = True, tol: float = DEFAULT_TOL):
         if n_fiber not in _ALLOWED_FIBERS:
             raise ModelError(f"n_fiber must be one of {_ALLOWED_FIBERS}, got {n_fiber}")
         self.name = str(name)
@@ -239,7 +239,8 @@ class CoframeModel:
             if bad:
                 worst = ", ".join(
                     f"d^2(theta^{i}) has {r.max_coeff_mag():.3e}" for i, r in bad)
-                raise ModelError(f"d^2 != 0: {worst}")
+                raise ModelError(f"d^2 != 0: {worst} "
+                                 f"(at /d/{self.labels[bad[0][0] - 1]})")
 
     # -- form constructors -------------------------------------------------
 
@@ -287,7 +288,7 @@ class CoframeModel:
 
     # -- integrity ---------------------------------------------------------
 
-    def jacobi_residuals(self, tol: float | None = None):
+    def jacobi_residuals(self, tol: float = DEFAULT_TOL):
         bad = []
         for i in range(1, self.dim + 1):
             r = ext_d(self.d_of(i))
@@ -315,16 +316,19 @@ class CoframeModel:
 
     @classmethod
     def from_json(cls, data: dict, check: bool = True,
-                  tol: float | None = None) -> "CoframeModel":
+                  tol: float = DEFAULT_TOL) -> "CoframeModel":
         if not isinstance(data, dict):
-            raise ModelError("model JSON must be an object")
+            raise ModelError("model JSON must be an object (at the document root)")
         for field in ("name", "labels", "d"):
             if field not in data:
                 raise ModelError(f"model JSON is missing {field!r} (at /{field})")
         labels = data["labels"]
-        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-            raise ModelError("labels must be a list of strings (at /labels)")
-        n_fiber = len(labels) - N_BASE
+        n_fiber = len(labels) - N_BASE if isinstance(labels, list) else None
+        if n_fiber not in _ALLOWED_FIBERS \
+                or not all(isinstance(l, str) for l in labels) \
+                or len(set(labels)) != len(labels):
+            raise ModelError("labels must be a list of 5, 6 or 8 distinct "
+                             "strings (at /labels)")
         index = {l: i + 1 for i, l in enumerate(labels)}
 
         def look(label, where):
@@ -365,6 +369,8 @@ class CoframeModel:
                 rows.append((coefficient(co, f"/d/{label}/{j}/0"),
                              look(bl, f"/d/{label}/{j}/1"),
                              look(cl, f"/d/{label}/{j}/2")))
+                if bl == cl:
+                    raise ModelError(f"d entry repeats {bl!r} (at /d/{label}/{j})")
             d[i] = rows
 
         conn = None

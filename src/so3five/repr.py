@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .exterior import Form, hodge_star
-from .scalar import Scalar, dot, rref, scalar
+from .scalar import DEFAULT_TOL, Scalar, dot, rref, scalar
 from .upsilon import E_matrices, standard_upsilon
 
 N = 5
@@ -169,7 +169,7 @@ class Tensor2:
     def is_exact(self):
         return all(e.is_exact for row in self.m for e in row)
 
-    def is_zero(self, tol=None):
+    def is_zero(self, tol=DEFAULT_TOL):
         return all(e.is_zero(tol) for row in self.m for e in row)
 
     def max_mag(self):
@@ -225,19 +225,6 @@ class ConnTensor:
         return obj
 
     @classmethod
-    def from_three_form(cls, f: Form):
-        if f.degree != 3 or f.has_fiber_legs():
-            raise ValueError("need a base 3-form")
-        x = [[[Scalar(0) for _ in range(N)] for _ in range(N)] for _ in range(N)]
-        for idx, v in f.terms.items():
-            a, b, c = (t - 1 for t in idx)
-            for p in permutations((a, b, c)):
-                x[p[0]][p[1]][p[2]] = v * _perm_sign_of(p, (a, b, c))
-        obj = cls.__new__(cls)
-        obj.x = x
-        return obj
-
-    @classmethod
     def from_vector(cls, vec):
         if len(vec) != 50:
             raise ValueError("need 50 components")
@@ -286,7 +273,7 @@ class ConnTensor:
                     acc = acc + self.x[i][j][k] * self.x[i][j][k]
         return acc
 
-    def is_zero(self, tol=None):
+    def is_zero(self, tol=DEFAULT_TOL):
         return all(self.x[i][j][k].is_zero(tol)
                    for i in range(N) for j in range(N) for k in range(N))
 
@@ -298,27 +285,6 @@ class ConnTensor:
     def max_mag(self):
         return max(abs(float(self.x[i][j][k]))
                    for i in range(N) for j in range(N) for k in range(N))
-
-    def skew_violation(self):
-        """How far the tensor is from being totally antisymmetric."""
-        worst = 0.0
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    worst = max(worst, abs(float(
-                        self.x[i][j][k] + self.x[i][k][j])))
-        return worst
-
-    def three_form(self, model, tol=None):
-        """Interpret a totally antisymmetric tensor as a 3-form."""
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    if not (self.x[i][j][k] + self.x[i][k][j]).is_zero(tol):
-                        raise ValueError("tensor is not totally antisymmetric")
-        terms = [((a + 1, b + 1, c + 1), self.x[a][b][c])
-                 for a, b, c in TRIPLES]
-        return Form(model, 3, terms)
 
 
 def _perm_sign_of(p, base):
@@ -431,7 +397,7 @@ class CurvTensor:
                    for i in range(N) for j in range(N)
                    for k in range(N) for l in range(N))
 
-    def is_zero(self, tol=None):
+    def is_zero(self, tol=DEFAULT_TOL):
         return all(self.x[i][j][k][l].is_zero(tol)
                    for i in range(N) for j in range(N)
                    for k in range(N) for l in range(N))
@@ -561,7 +527,7 @@ def sym4_max_mag(d):
     return max(abs(float(v)) for v in d.values())
 
 
-def sym4_is_zero(d, tol=None):
+def sym4_is_zero(d, tol=DEFAULT_TOL):
     return all(v.is_zero(tol) for v in d.values())
 
 
@@ -662,7 +628,7 @@ def torsion_type(T: Form):
     }
 
 
-def decompose_curvature(K: CurvTensor, tol=None):
+def decompose_curvature(K: CurvTensor, tol=DEFAULT_TOL):
     """Six-component splitting of a curvature tensor.
 
     c1 is the Ricci trace, c3/c7 the antisymmetric Ricci parts, c5/c9 the
@@ -670,9 +636,6 @@ def decompose_curvature(K: CurvTensor, tol=None):
     antisymmetric part. A component is present when its norm exceeds
     tol * |K| (exact inputs use exact zero tests).
     """
-    from .scalar import get_tol
-    if tol is None:
-        tol = get_tol()
     k = K.ricci()
     c1 = k.trace()
     parts = decompose_t2(k)

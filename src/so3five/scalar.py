@@ -4,8 +4,9 @@ linear algebra.
 Every number flowing through the public JSON formats is a :class:`Scalar`:
 either an exact element ``a + b*sqrt(3)`` with arbitrary-precision rational
 ``a``, ``b``, or a plain float.  Exact and float scalars mix freely; any
-operation that touches a float yields a float.  Equality between exact scalars
-is bit-exact, equality involving a float is within the global tolerance.
+operation that touches a float yields a float.  Equality is exact: floats
+compare by value.  A tolerance is an argument (``is_zero(tol)`` and the
+``tol`` of the linear algebra), defaulting to :data:`DEFAULT_TOL`.
 
 The wire format is a tiny grammar::
 
@@ -28,14 +29,16 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-_DEFAULT_TOL = 1e-9
-_tol = float(os.environ.get("SO3FIVE_TOL", _DEFAULT_TOL))
+DEFAULT_TOL = 1e-9
+_tol = float(os.environ.get("SO3FIVE_TOL", DEFAULT_TOL))
 
 _SQRT3_FLOAT = math.sqrt(3.0)
 
 
 def get_tol() -> float:
-    """Current global tolerance for float comparisons and rank decisions."""
+    """The process-wide tolerance: SO3FIVE_TOL, or DEFAULT_TOL when unset,
+    until set_tol changes it.  The library never reads it; the command
+    line does, when no --tol is given."""
     return _tol
 
 
@@ -136,7 +139,10 @@ class Scalar:
     def __float__(self) -> float:
         if self._f is not None:
             return self._f
-        return float(self._a) + float(self._b) * _SQRT3_FLOAT
+        try:
+            return float(self._a) + float(self._b) * _SQRT3_FLOAT
+        except OverflowError:  # beyond the double range
+            return math.copysign(math.inf, self.sign())
 
     def to_string(self) -> str:
         if self._f is not None:
@@ -157,11 +163,10 @@ class Scalar:
 
     # -- predicates --------------------------------------------------------
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         if self._f is None:
             return self._a == 0 and self._b == 0
-        t = _tol if tol is None else tol
-        return abs(self._f) <= t
+        return abs(self._f) <= tol
 
     def sign(self) -> int:
         """Exact sign for exact scalars, float sign otherwise."""
@@ -293,7 +298,7 @@ class Scalar:
             return NotImplemented
         if self._f is None and o._f is None:
             return self._a == o._a and self._b == o._b
-        return abs(float(self) - float(o)) <= _tol
+        return float(self) == float(o)
 
     def __lt__(self, other):
         o = Scalar._coerce(other)
@@ -303,7 +308,9 @@ class Scalar:
             return (self - o).sign() < 0
         return float(self) < float(o)
 
-    __hash__ = None  # mutable-tolerance equality: keep unhashable
+    # exact and float scalars compare through float, so two exact scalars
+    # can both equal one float and differ: keep unhashable
+    __hash__ = None
 
 
 def sqrt3() -> Scalar:
@@ -346,7 +353,7 @@ class CScalar:
     def conjugate(self) -> "CScalar":
         return CScalar(self.re, -self.im)
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.re.is_zero(tol) and self.im.is_zero(tol)
 
     def mag(self) -> float:
@@ -480,13 +487,12 @@ def _negligible(x, scale: float, tol: float) -> bool:
     return _mag(x) <= tol * scale
 
 
-def rref(rows, tol: float | None = None):
+def rref(rows, tol: float = DEFAULT_TOL):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns).
 
     Pivots are chosen by float magnitude; a float entry counts as zero when
     its magnitude is at most tol * (max row norm of the input).
     """
-    t = _tol if tol is None else tol
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return rows, []
@@ -500,7 +506,7 @@ def rref(rows, tol: float | None = None):
         best_i, best_m = -1, 0.0
         for i in range(r, m):
             x = rows[i][col]
-            if _negligible(x, scale, t):
+            if _negligible(x, scale, tol):
                 continue
             mg = _mag(x)
             if mg > best_m:
@@ -514,7 +520,7 @@ def rref(rows, tol: float | None = None):
             if i == r:
                 continue
             f = rows[i][col]
-            if _negligible(f, scale, t):
+            if _negligible(f, scale, tol):
                 continue
             rows[i] = [xi - f * xr for xi, xr in zip(rows[i], rows[r])]
         pivots.append(col)
@@ -522,11 +528,11 @@ def rref(rows, tol: float | None = None):
     return rows, pivots
 
 
-def rank(rows, tol: float | None = None) -> int:
+def rank(rows, tol: float = DEFAULT_TOL) -> int:
     return len(rref(rows, tol)[1])
 
 
-def nullspace(rows, tol: float | None = None):
+def nullspace(rows, tol: float = DEFAULT_TOL):
     """Basis of the kernel, one vector per non-pivot column."""
     if not rows or not rows[0]:
         return []
@@ -547,12 +553,11 @@ def nullspace(rows, tol: float | None = None):
     return basis
 
 
-def solve(rows, rhs, tol: float | None = None):
+def solve(rows, rhs, tol: float = DEFAULT_TOL):
     """One solution of A x = b (free variables set to zero).
 
     Raises ValueError when the system is inconsistent.
     """
-    t = _tol if tol is None else tol
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     scale = _matrix_scale(aug)
     red, pivots = rref(aug, tol)
@@ -560,8 +565,8 @@ def solve(rows, rhs, tol: float | None = None):
     if n in pivots:
         raise ValueError("inconsistent linear system")
     for row in red:
-        if all(_negligible(x, scale, t) for x in row[:n]) and \
-                not _negligible(row[n], scale, t):
+        if all(_negligible(x, scale, tol) for x in row[:n]) and \
+                not _negligible(row[n], scale, tol):
             raise ValueError("inconsistent linear system")
     sample = rows[0][0]
     x = [_zero_like(sample)] * n
@@ -570,9 +575,8 @@ def solve(rows, rhs, tol: float | None = None):
     return x
 
 
-def det(rows, tol: float | None = None):
+def det(rows, tol: float = DEFAULT_TOL):
     """Determinant by elimination, exact on exact input."""
-    t = _tol if tol is None else tol
     rows = [list(r) for r in rows]
     n = len(rows)
     scale = _matrix_scale(rows)
@@ -583,7 +587,7 @@ def det(rows, tol: float | None = None):
         best_i, best_m = -1, 0.0
         for i in range(col, n):
             x = rows[i][col]
-            if _negligible(x, scale, t):
+            if _negligible(x, scale, tol):
                 continue
             mg = _mag(x)
             if mg > best_m:

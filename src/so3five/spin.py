@@ -14,6 +14,7 @@ from functools import lru_cache
 from .connection import Analysis
 from .exterior import CoframeModel
 from .scalar import (
+    DEFAULT_TOL,
     I,
     CScalar,
     Scalar,
@@ -157,7 +158,7 @@ def det_identity(coeffs):
     return W, d, predicted, (d - cscalar(predicted)).mag()
 
 
-def spinor_obstruction(model: CoframeModel, tol: float | None = None):
+def spinor_obstruction(model: CoframeModel, tol: float = DEFAULT_TOL):
     """Integrability data for the constant-spinor equation.
 
     A spinor field annihilated by d + gamma^I bold-E_I exists only when

@@ -22,6 +22,7 @@ from .connection import (
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import kappa_forms
 from .scalar import (
+    DEFAULT_TOL,
     CScalar,
     Scalar,
     cscalar,
@@ -76,7 +77,7 @@ class FiberFunction:
     def is_exact(self) -> bool:
         return all(c.is_exact for c in self.num.values())
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return all(c.is_zero(tol) for c in self.num.values())
 
     def max_mag(self) -> float:
@@ -374,7 +375,7 @@ def omega_normalization(model: CoframeModel) -> FiberFunction:
     return top.coeff((1, 2, 3, 4, 5)).reduce()
 
 
-def _connection_terms(model: CoframeModel, gamma, tol=None) -> TwistorForm:
+def _connection_terms(model: CoframeModel, gamma, tol: float) -> TwistorForm:
     """sum_I c_I gamma^I for the characteristic connection at tol, or for
     the given connection."""
     if gamma is None:
@@ -386,12 +387,11 @@ def _connection_terms(model: CoframeModel, gamma, tol=None) -> TwistorForm:
 
 
 def twistor_coframe(model: CoframeModel, gamma=None,
-                    tol: float | None = None) -> dict:
+                    tol: float = DEFAULT_TOL) -> dict:
     """The displayed complex coframe and its real orthonormal version.
 
     Without an explicit connection the characteristic one is used, checked
-    at tol (the global tolerance when None), and the result is kept in
-    Analysis(model, tol).
+    at tol, and the result is kept in Analysis(model, tol).
     """
     if gamma is None:
         analysis = Analysis(model, tol)
@@ -471,14 +471,14 @@ def _horizontal_part(a: TwistorForm, covariant_dz: TwistorForm,
     return a - covariant_dz.scale(p) - covariant_dzb.scale(q)
 
 
-def coframe_gram(model: CoframeModel, gamma=None):
+def coframe_gram(model: CoframeModel, gamma=None, tol: float = DEFAULT_TOL):
     """7x7 Gram matrix of the real coframe, as reduced fiber functions.
 
     Horizontal components pair through the pulled-back metric; the fiber
     pair through the spherical metric that makes the displayed forms
     unit (the sphere of radius one half).
     """
-    cf = twistor_coframe(model, gamma)
+    cf = twistor_coframe(model, gamma, tol)
     theta = cf["theta"]
     cov_dz = cf["h"] * _ONE_W
     cov_dzb = cov_dz.conjugate()
@@ -495,8 +495,9 @@ def coframe_gram(model: CoframeModel, gamma=None):
     return out
 
 
-def gram_residual(model: CoframeModel, gamma=None) -> float:
-    gram = coframe_gram(model, gamma)
+def gram_residual(model: CoframeModel, gamma=None,
+                  tol: float = DEFAULT_TOL) -> float:
+    gram = coframe_gram(model, gamma, tol)
     worst = 0.0
     for a in range(7):
         for b in range(7):
@@ -569,7 +570,7 @@ def _cr_forms(model: CoframeModel, which: str, gamma, tol: float) -> dict:
 
 
 def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
-                 tol: float = 1e-9) -> dict:
+                 tol: float = DEFAULT_TOL) -> dict:
     """The four integrability residuals of one almost CR structure.
 
     Each residual is the largest numerator coefficient of the 6-form
@@ -590,7 +591,7 @@ def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
     }
 
 
-def predicted_verdict(model: CoframeModel, tol: float | None = None) -> dict:
+def predicted_verdict(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
     """Integrability forecast from torsion type and curvature content; the
     report kept in Analysis(model, tol) is read, not built again."""
     rep = Analysis(model, tol).kept("report") or build_report(model, tol)
@@ -608,9 +609,9 @@ def predicted_verdict(model: CoframeModel, tol: float | None = None) -> dict:
 # -- G2 structure -----------------------------------------------------------
 
 
-def g2_form(model: CoframeModel, gamma=None) -> dict:
+def g2_form(model: CoframeModel, gamma=None, tol: float = DEFAULT_TOL) -> dict:
     """The natural 3-form, its coordinate match, and its normalization."""
-    cf = twistor_coframe(model, gamma)
+    cf = twistor_coframe(model, gamma, tol)
     u, h, n1, n2 = cf["u"], cf["h"], cf["n1"], cf["n2"]
     ihalf = FiberFunction.const(_i(Fraction(1, 2)))
     phi1 = (n1.wedge(n1.conjugate()) - n2.wedge(n2.conjugate())) \
@@ -640,18 +641,19 @@ def g2_form(model: CoframeModel, gamma=None) -> dict:
         "match": match_residual == 0.0,
     }
     if model.n_fiber == 0:
-        split = _to_split_basis(phi, model, gamma)
+        split = _to_split_basis(phi, model, gamma, tol)
         top = split.wedge(hodge_star(split, 7))
         norm = top.coeff(tuple(range(1, 8))).reduce()
         result["norm_residual"] = (norm - FiberFunction.const(7)).max_mag()
     return result
 
 
-def _to_split_basis(tf: TwistorForm, model: CoframeModel, gamma=None):
+def _to_split_basis(tf: TwistorForm, model: CoframeModel, gamma=None,
+                    tol: float = DEFAULT_TOL):
     """Rewrite dz, dzbar legs through the orthonormal fiber pair."""
     if model.n_fiber != 0:
         raise ModelError("the split basis is built over base models only")
-    conn = _connection_terms(model, gamma)
+    conn = _connection_terms(model, gamma, tol)
     dz, dzb = model.dim + 1, model.dim + 2
     # dz = (1+z zbar)(fiber7 - i fiber6) - sum_I c_I gamma^I, and dzbar
     # its conjugate; fiber6 and fiber7 take over the dz and dzbar slots
@@ -663,7 +665,8 @@ def _to_split_basis(tf: TwistorForm, model: CoframeModel, gamma=None):
     return tf.substitute({dz: repl_dz, dzb: repl_dzb})
 
 
-def quarter_identity(model: CoframeModel, gamma=None) -> dict:
+def quarter_identity(model: CoframeModel, gamma=None,
+                     tol: float = DEFAULT_TOL) -> dict:
     """The stated quarter-normalization of the transversal 1-form.
 
     In the split basis the fiber area form wedged with the square of the
@@ -673,7 +676,7 @@ def quarter_identity(model: CoframeModel, gamma=None) -> dict:
     """
     if model.n_fiber != 0:
         raise ModelError("the quarter identity check needs a base model")
-    cf = twistor_coframe(model, gamma)
+    cf = twistor_coframe(model, gamma, tol)
     om = cf["omega"]
     u = cf["u"]
     eta2 = TwistorForm(model, 2, {(model.dim + 1, model.dim + 2): 1})
@@ -828,7 +831,7 @@ def derivative_sample_residual(f: FiberFunction, z: complex,
 
 def cr_residuals_sampled(model: CoframeModel, which: str = "j0", gamma=None,
                          seed: int = 0, count: int = 6,
-                         step: float = 1e-5, tol: float = 1e-9) -> dict:
+                         step: float = 1e-5, tol: float = DEFAULT_TOL) -> dict:
     """Numerical cross-check of the exact residuals at sampled points.
 
     The residual 6-forms are the ones cr_residuals reduces at the same

@@ -24,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .scalar import (
+    DEFAULT_TOL,
     Scalar,
     det,
-    get_tol,
     nullspace,
     scalar,
     sqrt3,
@@ -240,14 +240,13 @@ def sigma_embed(a):
     ]
 
 
-def sigma_inverse(S, tol: float | None = None):
+def sigma_inverse(S, tol: float = DEFAULT_TOL):
     """Vector of the symmetric trace-free matrix S; validates the shape."""
-    t = get_tol() if tol is None else tol
     for i in range(3):
         for j in range(i + 1, 3):
-            if not (S[i][j] - S[j][i]).is_zero(t):
+            if not (S[i][j] - S[j][i]).is_zero(tol):
                 raise ValueError("matrix is not symmetric")
-    if not (S[0][0] + S[1][1] + S[2][2]).is_zero(t):
+    if not (S[0][0] + S[1][1] + S[2][2]).is_zero(tol):
         raise ValueError("matrix is not trace-free")
     half = scalar(Fraction(1, 2))
     a1 = -(sqrt3() * half) * S[2][2]
@@ -274,12 +273,11 @@ def char_poly(a):
 # ---------------------------------------------------------------------------
 
 
-def verify_so3_structure(y, tol: float | None = None) -> dict:
+def verify_so3_structure(y, tol: float = DEFAULT_TOL) -> dict:
     """Check the three defining properties of a candidate tensor.
 
     Accepts a TernaryForm or a full 5x5x5 nested list.  Returns a report
     with per-property flags and the largest residual seen."""
-    t = get_tol() if tol is None else tol
     max_res = 0.0
 
     if isinstance(y, TernaryForm):
@@ -294,7 +292,7 @@ def verify_so3_structure(y, tol: float | None = None) -> dict:
                 for k in range(5):
                     for p in ((i, k, j), (j, i, k)):
                         r = dense[i][j][k] - dense[p[0]][p[1]][p[2]]
-                        if not r.is_zero(t):
+                        if not r.is_zero(tol):
                             symmetric = False
                         max_res = max(max_res, abs(float(r)))
 
@@ -303,7 +301,7 @@ def verify_so3_structure(y, tol: float | None = None) -> dict:
         tr = Scalar(0)
         for i in range(5):
             tr = tr + dense[i][i][k]
-        if not tr.is_zero(t):
+        if not tr.is_zero(tol):
             traceless = False
         max_res = max(max_res, abs(float(tr)))
 
@@ -320,7 +318,7 @@ def verify_so3_structure(y, tol: float | None = None) -> dict:
                     rhs = Scalar((j == k) * (l == n) + (l == j) * (k == n)
                                  + (k == l) * (j == n))
                     r = lhs - rhs
-                    if not r.is_zero(t):
+                    if not r.is_zero(tol):
                         cubic = False
                     max_res = max(max_res, abs(float(r)))
 
@@ -365,7 +363,7 @@ def E_matrices():
     return E1, E2, E3
 
 
-def stabilizer(y: TernaryForm, tol: float | None = None):
+def stabilizer(y: TernaryForm, tol: float = DEFAULT_TOL):
     """Basis of {X in gl(5): the derived action of X annihilates y}.
 
     The equation is Y_ljk X^l_i + Y_ilk X^l_j + Y_ijl X^l_k = 0 for all
@@ -387,20 +385,19 @@ def stabilizer(y: TernaryForm, tol: float | None = None):
     return [[[v[5 * l + m] for m in range(5)] for l in range(5)] for v in basis]
 
 
-def rho_act(h, a, tol: float | None = None):
+def rho_act(h, a, tol: float = DEFAULT_TOL):
     """The irreducible SO(3) action on R^5: sigma^-1(h sigma(A) h^T).
 
     h must be a special orthogonal 3x3 matrix (within tolerance)."""
-    t = get_tol() if tol is None else tol
     h = [[scalar(x) for x in row] for row in h]
     for i in range(3):
         for j in range(3):
             acc = Scalar(0)
             for k in range(3):
                 acc = acc + h[k][i] * h[k][j]
-            if not (acc - (1 if i == j else 0)).is_zero(t):
+            if not (acc - (1 if i == j else 0)).is_zero(tol):
                 raise ValueError("h is not orthogonal")
-    if not (det(h) - 1).is_zero(t):
+    if not (det(h) - 1).is_zero(tol):
         raise ValueError("h is not special orthogonal (det != 1)")
     S = sigma_embed(a)
     hS = [[sum((h[i][k] * S[k][j] for k in range(3)), Scalar(0))
@@ -419,7 +416,7 @@ def _float_matrix_of(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return U @ v
 
 
-def adapt_frame(y: TernaryForm, tol: float | None = None, seed: int = 0,
+def adapt_frame(y: TernaryForm, tol: float = DEFAULT_TOL, seed: int = 0,
                 retries: int = 5, e2=None) -> dict:
     """Construct an orthonormal frame in which y takes the canonical
     coefficient pattern (with the positive sqrt3/2 sign).
@@ -431,7 +428,6 @@ def adapt_frame(y: TernaryForm, tol: float | None = None, seed: int = 0,
     eigenvectors, and flip (e3,e4,e5) if the trailing sign comes out
     negative.  Retries with fresh random data when a degenerate circle is
     hit; raises ValueError when the tensor is not in the orbit."""
-    t = get_tol() if tol is None else tol
     U = y.to_float_array()
     rng = random.Random(seed)
     std = TernaryForm.standard().to_float_array()
@@ -454,7 +450,7 @@ def adapt_frame(y: TernaryForm, tol: float | None = None, seed: int = 0,
             Yp = np.einsum("lmn,il,jm,kn->ijk", U,
                            *(np.array(frame),) * 3, optimize=True)
         residual = float(np.max(np.abs(Yp - std)))
-        if residual <= max(t, 1e-8):
+        if residual <= max(tol, 1e-8):
             out = TernaryForm()
             for i in range(5):
                 for j in range(i, 5):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from so3five.cli import main
+from so3five.scalar import DEFAULT_TOL, get_tol, set_tol
 
 DATA = Path(__file__).parent / "data"
 
@@ -431,9 +432,36 @@ def assert_pinned_selftest(out, pinned):
     assert got == ACCEPTANCE_04.sub(r"\1]", want)
 
 
+def count_coframe_builds(monkeypatch):
+    """Record each twistor_coframe call that misses the kept coframe."""
+    import so3five.twistor as twistor
+    from so3five.connection import Analysis
+
+    real = twistor.twistor_coframe
+    signature = inspect.signature(real)
+    builds = []
+
+    def counting(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        model, gamma, at = (call.arguments[k]
+                            for k in ("model", "gamma", "tol"))
+        if gamma is not None or \
+                Analysis(model, at).kept("twistor_coframe") is None:
+            builds.append(model.name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twistor, "twistor_coframe", counting)
+    return builds
+
+
 class TestSelftest:
-    def test_deterministic_pass_with_all_rows(self, capsys):
+    def test_deterministic_pass_with_all_rows(self, capsys, monkeypatch):
+        # tor23, tor27, six-dim-2 and flat-char: every twistor check of a
+        # model reads the sphere-bundle coframe kept at the row's tolerance
+        builds = count_coframe_builds(monkeypatch)
         code_a, out_a, _ = run(capsys, "selftest", "--seed", "7")
+        assert len(builds) == 4, builds
         code_b, out_b, _ = run(capsys, "selftest", "--seed", "7")
         assert code_a == code_b == 0
         assert out_a == out_b
@@ -466,10 +494,41 @@ class TestSelftest:
 
         monkeypatch.setattr(twistor, "cr_residuals", recording)
         monkeypatch.setattr(cli, "cr_residuals", recording)
+        builds = count_coframe_builds(monkeypatch)
         code, out, _ = run(capsys, "selftest", "--tol", "1e-10")
         assert code == 0
         assert "23/23 checks passed" in out
         assert tols and all(t == 1e-10 for t in tols)
+        assert len(builds) == 4, builds
+
+
+class TestToleranceSource:
+    """SO3FIVE_TOL, read through get_tol, and --tol are one setting."""
+
+    @staticmethod
+    def run_at_global(capsys, tol, *argv):
+        old = get_tol()
+        try:
+            set_tol(tol)
+            return run(capsys, *argv)
+        finally:
+            set_tol(old)
+
+    @pytest.mark.parametrize("command", ["classify", "cr",
+                                         "decompose-torsion"])
+    def test_global_and_flag_print_the_same(self, capsys, tmp_path, command):
+        path = perturbed_tor23(tmp_path, "1e-7")
+        by_global = self.run_at_global(capsys, 1e-5, command, path, "--json")
+        by_flag = self.run_at_global(capsys, DEFAULT_TOL, command, path,
+                                     "--json", "--tol", "1e-5")
+        assert by_global == by_flag
+        assert by_flag[0] == 0
+
+    def test_selftest_at_the_global_prints_the_flag_pin(self, capsys):
+        # the pin is `selftest --tol 1e-16`, as in TestSelftest
+        code, out, _ = self.run_at_global(capsys, 1e-16, "selftest")
+        assert code == 1
+        assert_pinned_selftest(out, "selftest_tol_1e-16.txt")
 
 
 class TestParser:

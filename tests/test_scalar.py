@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -165,9 +166,32 @@ def test_set_tol_roundtrip():
     old = sc.get_tol()
     try:
         sc.set_tol(1e-3)
-        assert Scalar.from_float(1e-4) == 0
+        assert sc.get_tol() == 1e-3
+        assert Scalar.from_float(1e-4).is_zero(sc.get_tol())
     finally:
         sc.set_tol(old)
+
+
+@pytest.mark.parametrize("global_tol", [sc.DEFAULT_TOL, 1e-3])
+def test_float_equality_is_exact_whatever_the_global_says(global_tol):
+    old = sc.get_tol()
+    try:
+        sc.set_tol(global_tol)
+        assert Scalar.from_float(1e-4) != 0
+        # 0 ~ 6e-4 ~ 1.2e-3 within 1e-3, yet 0 and 1.2e-3 are not
+        xs = [Scalar.from_float(x) for x in (0.0, 6e-4, 1.2e-3, 1.2e-3)]
+        for a in xs:
+            for b in xs:
+                for c in xs:
+                    if a == b and b == c:
+                        assert a == c
+    finally:
+        sc.set_tol(old)
+
+
+def test_float_of_an_exact_beyond_double_range_saturates():
+    assert float(Scalar.exact(10 ** 400)) == math.inf
+    assert float(Scalar.exact(1, -10 ** 400)) == -math.inf
 
 
 def test_env_var_sets_tolerance():
