@@ -1,0 +1,207 @@
+"""The exact field kernel against sympy, an independent oracle.
+
+Seeded random elements of Q(sqrt 3) (``Scalar``) and Q(sqrt 3, i)
+(``CScalar``) are combined with every field operation and the results are
+compared exactly with sympy's algebraic number fields: ``QQ.algebraic_field
+(sqrt(3))`` for the real field and the same field with ``I`` adjoined for
+the complex one.  The samples include zero, units, large numerators and
+pairs whose sum or difference cancels the denominator to 1.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from sympy import QQ, I, Rational, sign, sqrt, sympify
+
+from so3five.scalar import CScalar, Scalar
+
+K = QQ.algebraic_field(sqrt(3))
+L = QQ.algebraic_field(sqrt(3), I)
+L_SQRT3 = L.from_sympy(sqrt(3))
+L_I = L.from_sympy(I)
+
+
+def _rat(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == 1:
+        return Fraction(rng.randint(-10 ** 40, 10 ** 40),
+                        rng.randint(1, 10 ** 20))
+    if kind == 2:
+        return Fraction(rng.randint(-5, 5))
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                    rng.choice([2, 3, 6, 12, 2 ** 20, 3 ** 15]))
+
+
+FIXED = [Scalar(0), Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(2, 1),
+         Scalar(2, -1), Scalar(-7, 4), Scalar(Fraction(1, 2)),
+         Scalar(Fraction(3, 2), Fraction(-1, 2)),
+         Scalar(10 ** 50 + 1, -(10 ** 49)),
+         Scalar(Fraction(1, 3 ** 30), Fraction(2 ** 70, 7))]
+
+
+def _sample(seed, n):
+    rng = random.Random(seed)
+    xs = FIXED + [Scalar(_rat(rng), _rat(rng)) for _ in range(n)]
+    pairs = [(x, y) for x, y in zip(xs, xs[1:] + xs[:1])]
+    for x in xs[len(FIXED):len(FIXED) + 8]:
+        k = Scalar(rng.randint(-4, 4), rng.randint(-4, 4))
+        pairs += [(x, k - x), (x, x), (x, -x)]  # sums and differences cancel
+    return xs, pairs
+
+
+XS, PAIRS = _sample(20260518, 40)
+
+
+def to_k(x):
+    """A Scalar as an element of sympy's Q(sqrt 3), through .a and .b."""
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    return K([QQ(x.b.numerator, x.b.denominator),
+              QQ(x.a.numerator, x.a.denominator)])
+
+
+def to_expr(x):
+    return Rational(x.a.numerator, x.a.denominator) + \
+        Rational(x.b.numerator, x.b.denominator) * sqrt(3)
+
+
+def test_ring_and_field_operations():
+    for x, y in PAIRS:
+        kx, ky = to_k(x), to_k(y)
+        assert to_k(x + y) == kx + ky
+        assert to_k(x - y) == kx - ky
+        assert to_k(x * y) == kx * ky
+        assert to_k(-x) == -kx
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+            continue
+        assert to_k(x / y) == kx / ky
+        assert to_k(y.inverse()) == K.one / ky
+
+
+def test_mixed_with_int_and_fraction():
+    q = Fraction(-5, 6)
+    kq = K([QQ(-5, 6)])
+    for x in XS:
+        kx = to_k(x)
+        assert to_k(x + 3) == kx + K([QQ(3)]) == to_k(3 + x)
+        assert to_k(2 - x) == K([QQ(2)]) - kx
+        assert to_k(x * q) == kx * kq == to_k(q * x)
+        assert to_k(x / q) == kx / kq
+
+
+def test_cancelled_denominators_are_one():
+    for x in XS:
+        k = Scalar(3, -2)
+        s = x + (k - x)
+        assert s == k and s.a.denominator == 1 and s.b.denominator == 1
+        assert (x - x).is_zero() and (x - x).a == 0 and (x - x).b == 0
+
+
+def test_powers():
+    for x in XS[:24]:
+        kx = to_k(x)
+        for n in range(0, 6):
+            assert to_k(x ** n) == kx ** n
+        if not x.is_zero():
+            for n in (1, 2, 3):
+                assert to_k(x ** -n) == (K.one / kx) ** n
+
+
+def test_sign_order_and_equality():
+    for x, y in PAIRS:
+        ex, ey = to_expr(x), to_expr(y)
+        assert x.sign() == int(sign(ex))
+        assert (x < y) == bool(ex < ey)
+        assert (x == y) == (to_k(x) == to_k(y))
+        assert (x != y) == (to_k(x) != to_k(y))
+        assert (x == x + Scalar(0)) and not (x == x + 1)
+
+
+def test_sign_near_the_cancelling_line():
+    # n + m*sqrt3 with n, m of opposite signs and n^2 close to 3 m^2
+    for n in range(-12, 13):
+        for m in (-7, -4, -1, 1, 4, 7):
+            for d in (1, 5):
+                x = Scalar(Fraction(n, d), Fraction(m, d))
+                assert x.sign() == int(sign(to_expr(x))), (n, m, d)
+    for n, m in ((97, -56), (-97, 56), (1351, -780), (-1351, 780)):
+        assert Scalar(n, m).sign() == int(sign(n + m * sqrt(3)))
+
+
+def test_components_and_wire_round_trip():
+    for x in XS:
+        s = x.to_string()
+        back = Scalar.from_string(s)
+        assert back == x and back.a == x.a and back.b == x.b
+        assert sympify(s.replace("*sqrt3", "*sqrt(3)")) == K.to_sympy(to_k(x))
+
+
+# -- Q(sqrt 3, i) ----------------------------------------------------------
+
+
+def _sample_complex(seed, n):
+    rng = random.Random(seed)
+    fixed = [CScalar(0, 0), CScalar(1, 0), CScalar(0, 1), CScalar(0, -1),
+             CScalar(1, 1), CScalar(0, Scalar(0, 1)),
+             CScalar(Scalar(2, 1), 0),
+             CScalar(Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 2))),
+             CScalar(Scalar(10 ** 40, 3), Scalar(-1, 10 ** 35))]
+    zs = fixed + [CScalar(Scalar(_rat(rng), _rat(rng)),
+                          Scalar(_rat(rng), _rat(rng))) for _ in range(n)]
+    pairs = list(zip(zs, zs[1:] + zs[:1]))
+    for z in zs[len(fixed):len(fixed) + 5]:
+        k = CScalar(rng.randint(-3, 3), rng.randint(-3, 3))
+        pairs += [(z, k - z), (z, z), (z, -z)]
+    return zs, pairs
+
+
+ZS, ZPAIRS = _sample_complex(20260519, 20)
+
+
+def to_l(z):
+    """A CScalar as an element of sympy's Q(sqrt 3, i), through re and im."""
+    re, im = z.re, z.im
+    assert isinstance(re, Scalar) and isinstance(im, Scalar)
+
+    def part(x):
+        return L([QQ(x.a.numerator, x.a.denominator)]) + \
+            L([QQ(x.b.numerator, x.b.denominator)]) * L_SQRT3
+
+    return part(re) + part(im) * L_I
+
+
+def test_complex_ring_and_field_operations():
+    for z, w in ZPAIRS:
+        lz, lw = to_l(z), to_l(w)
+        assert to_l(z + w) == lz + lw
+        assert to_l(z - w) == lz - lw
+        assert to_l(z * w) == lz * lw
+        assert to_l(-z) == -lz
+        assert (z == w) == (lz == lw)
+        assert z.is_zero() == (lz == L.zero)
+        if w.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                z / w
+            continue
+        assert to_l(z / w) == lz / lw
+        assert to_l(w.inverse()) == L.one / lw
+
+
+def test_complex_conjugate_parts_and_mixed_operands():
+    x = Scalar(Fraction(-2, 9), Fraction(5, 4))
+    lx = L([QQ(-2, 9)]) + L([QQ(5, 4)]) * L_SQRT3
+    for z in ZS:
+        lz = to_l(z)
+        re = to_l(CScalar(z.re, 0))
+        assert to_l(z.conjugate()) == re + re - lz
+        assert to_l(z * x) == lz * lx == to_l(x * z)
+        assert to_l(z + x) == lz + lx == to_l(x + z)
+        assert to_l(z - 2) == lz - L([QQ(2)])
+        assert to_l(1 - z) == L.one - lz
+        assert z == CScalar(z.re, z.im)
