@@ -2,11 +2,16 @@
 linear algebra.
 
 Every number flowing through the public JSON formats is a :class:`Scalar`:
-either an exact element ``a + b*sqrt(3)`` with arbitrary-precision rational
-``a``, ``b``, or a plain float.  Exact and float scalars mix freely; any
-operation that touches a float yields a float.  Equality is exact: floats
-compare by value.  A tolerance is an argument (``is_zero(tol)`` and the
-``tol`` of the linear algebra), defaulting to :data:`DEFAULT_TOL`.
+either an exact element ``(n + m*sqrt(3))/d`` held as three Python integers
+with ``d > 0`` and ``gcd(n, m, d) = 1``, or a plain float.  The rational
+parts ``a = n/d`` and ``b = m/d`` are :class:`~fractions.Fraction` values
+built on demand; arithmetic never forms them.  A :class:`CScalar` in
+Q(sqrt 3, i) is exact as five integers ``(a + b*sqrt3 + i(c + e*sqrt3))/d``
+in the same normal form, and holds two Scalar parts once either is a float.
+Exact and float scalars mix freely; any operation that touches a float
+yields a float.  Equality is exact: floats compare by value.  A tolerance is
+an argument (``is_zero(tol)`` and the ``tol`` of the linear algebra),
+defaulting to :data:`DEFAULT_TOL`.
 
 The wire format is a tiny grammar::
 
@@ -16,9 +21,10 @@ The wire format is a tiny grammar::
 "3/2*sqrt3" parses to (0, 3/2), "-1/2" to (-1/2, 0), "0.25" to a float.
 
 The linear algebra here (rref, nullspace, solve, det, spectral projectors) is
-generic over the element type: it works for Scalar and for the complex pairs
-in :class:`CScalar`, choosing pivots by float magnitude and testing zeroness
-exactly on exact entries, against ``tol * max-row-norm`` on float entries.
+generic over the element type: it works for Scalar and for the complex
+numbers in :class:`CScalar`, choosing pivots by float magnitude and testing
+zeroness exactly on exact entries, against ``tol * max-row-norm`` on float
+entries.
 """
 
 from __future__ import annotations
@@ -28,11 +34,13 @@ import os
 import re
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 
 DEFAULT_TOL = 1e-9
 _tol = float(os.environ.get("SO3FIVE_TOL", DEFAULT_TOL))
 
 _SQRT3_FLOAT = math.sqrt(3.0)
+_new = object.__new__
 
 
 def get_tol() -> float:
@@ -57,21 +65,46 @@ def _rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _mk(n, m, d):
+    """The exact Scalar (n + m*sqrt3)/d, already in normal form."""
+    s = _new(Scalar)
+    s._n = n
+    s._m = m
+    s._d = d
+    s._f = None
+    return s
+
+
+def _norm(n, m, d):
+    """The exact Scalar (n + m*sqrt3)/d for any d > 0."""
+    if d != 1:
+        g = gcd(n, m, d)
+        if g != 1:
+            return _mk(n // g, m // g, d // g)
+    return _mk(n, m, d)
+
+
 @total_ordering
 class Scalar:
-    """One number: exact ``a + b*sqrt3`` or a float."""
+    """One number: exact ``(n + m*sqrt3)/d`` or a float."""
 
-    __slots__ = ("_a", "_b", "_f")
+    __slots__ = ("_n", "_m", "_d", "_f")
 
     def __init__(self, a=0, b=0, _float=None):
         if _float is not None:
-            self._a = None
-            self._b = None
+            self._n = self._m = self._d = None
             self._f = float(_float)
-        else:
-            self._a = a if type(a) is Fraction else Fraction(a)
-            self._b = b if type(b) is Fraction else Fraction(b)
-            self._f = None
+            return
+        self._f = None
+        if type(a) is int and type(b) is int:
+            self._n, self._m, self._d = a, b, 1
+            return
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da // gcd(da, db) * db  # lcm of reduced parts: already normal
+        self._n, self._m, self._d = (a.numerator * (d // da),
+                                     b.numerator * (d // db), d)
 
     # -- constructors ------------------------------------------------------
 
@@ -126,28 +159,30 @@ class Scalar:
     def a(self) -> Fraction:
         if self._f is not None:
             raise TypeError("float scalar has no rational part")
-        return self._a
+        return Fraction(self._n, self._d)
 
     @property
     def b(self) -> Fraction:
         if self._f is not None:
             raise TypeError("float scalar has no sqrt3 part")
-        return self._b
+        return Fraction(self._m, self._d)
 
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
         if self._f is not None:
             return self._f
+        # n/d and m/d are correctly rounded, so this is float(a) +
+        # float(b)*sqrt3 on the reduced parts
         try:
-            return float(self._a) + float(self._b) * _SQRT3_FLOAT
+            return self._n / self._d + self._m / self._d * _SQRT3_FLOAT
         except OverflowError:  # beyond the double range
             return math.copysign(math.inf, self.sign())
 
     def to_string(self) -> str:
         if self._f is not None:
             return repr(self._f)
-        a, b = self._a, self._b
+        a, b = self.a, self.b
         if b == 0:
             return _rat_str(a)
         if a == 0:
@@ -165,27 +200,27 @@ class Scalar:
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         if self._f is None:
-            return self._a == 0 and self._b == 0
+            return not self._n and not self._m
         return abs(self._f) <= tol
 
     def sign(self) -> int:
         """Exact sign for exact scalars, float sign otherwise."""
         if self._f is not None:
             return (self._f > 0) - (self._f < 0)
-        a, b = self._a, self._b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
+        n, m = self._n, self._m  # d > 0 does not change the sign
+        if not m:
+            return (n > 0) - (n < 0)
+        if not n:
+            return 1 if m > 0 else -1
+        if n > 0 and m > 0:
             return 1
-        if a < 0 and b < 0:
+        if n < 0 and m < 0:
             return -1
-        # opposite signs: compare a^2 with 3 b^2 (equality impossible: sqrt3
-        # is irrational, so a + b*sqrt3 = 0 forces a = b = 0)
-        if a > 0:  # b < 0
-            return 1 if a * a > 3 * b * b else -1
-        return 1 if 3 * b * b > a * a else -1
+        # opposite signs: compare n^2 with 3 m^2 (equality impossible: sqrt3
+        # is irrational, so n + m*sqrt3 = 0 forces n = m = 0)
+        if n > 0:  # m < 0
+            return 1 if n * n > 3 * m * m else -1
+        return 1 if 3 * m * m > n * n else -1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -193,57 +228,75 @@ class Scalar:
     def _coerce(x):
         if isinstance(x, Scalar):
             return x
+        if type(x) is int:
+            return _mk(x, 0, 1)
         if isinstance(x, bool):
             return NotImplemented
-        if isinstance(x, (int, Fraction)):
-            return Scalar(x)
+        if isinstance(x, int):
+            return _mk(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _mk(x.numerator, 0, x.denominator)
         if isinstance(x, float):
             return Scalar(_float=x)
         return NotImplemented
 
     def __add__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if self._f is None and o._f is None:
-            return Scalar(self._a + o._a, self._b + o._b)
+            d = self._d
+            if d == o._d:
+                return _norm(self._n + o._n, self._m + o._m, d)
+            d2 = o._d
+            return _norm(self._n * d2 + o._n * d, self._m * d2 + o._m * d,
+                         d * d2)
         return Scalar(_float=float(self) + float(o))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._f is None:
-            return Scalar(-self._a, -self._b)
+            return _mk(-self._n, -self._m, self._d)
         return Scalar(_float=-self._f)
 
     def __pos__(self):
         return self
 
     def __sub__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        if self._f is None and o._f is None:
+            d = self._d
+            if d == o._d:
+                return _norm(self._n - o._n, self._m - o._m, d)
+            d2 = o._d
+            return _norm(self._n * d2 - o._n * d, self._m * d2 - o._m * d,
+                         d * d2)
+        return Scalar(_float=float(self) + float(-o))
 
     def __rsub__(self, other):
         o = Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if self._f is None and o._f is None:
-            a1, b1, a2, b2 = self._a, self._b, o._a, o._b
-            if not b1:
-                if not b2:
-                    return Scalar(a1 * a2)
-                return Scalar(a1 * a2, a1 * b2)
-            if not b2:
-                return Scalar(a1 * a2, b1 * a2)
-            return Scalar(a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2)
+            n1, m1, n2, m2 = self._n, self._m, o._n, o._m
+            if not m1 and not m2:
+                n, d = n1 * n2, self._d * o._d
+                if d != 1:
+                    g = gcd(n, d)
+                    if g != 1:
+                        return _mk(n // g, 0, d // g)
+                return _mk(n, 0, d)
+            return _norm(n1 * n2 + 3 * m1 * m2, n1 * m2 + m1 * n2,
+                         self._d * o._d)
         return Scalar(_float=float(self) * float(o))
 
     __rmul__ = __mul__
@@ -251,11 +304,15 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self._f is not None:
             return Scalar(_float=1.0 / self._f)
-        a, b = self._a, self._b
-        if a == 0 and b == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        n = a * a - 3 * b * b  # nonzero: sqrt3 irrational
-        return Scalar(a / n, -b / n)
+        n, m, d = self._n, self._m, self._d
+        if not m:
+            if not n:
+                raise ZeroDivisionError("scalar division by zero")
+            return _mk(-d, 0, -n) if n < 0 else _mk(d, 0, n)
+        norm = n * n - 3 * m * m  # nonzero: sqrt3 irrational
+        if norm < 0:
+            return _norm(-d * n, d * m, -norm)
+        return _norm(d * n, -d * m, norm)
 
     def __truediv__(self, other):
         o = Scalar._coerce(other)
@@ -293,11 +350,11 @@ class Scalar:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self._f is None and o._f is None:
-            return self._a == o._a and self._b == o._b
+        if self._f is None and o._f is None:  # normal forms are unique
+            return self._n == o._n and self._m == o._m and self._d == o._d
         return float(self) == float(o)
 
     def __lt__(self, other):
@@ -333,28 +390,94 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
+def _cmk(a, b, c, e, d):
+    """The exact CScalar (a + b*sqrt3 + i(c + e*sqrt3))/d, in normal form."""
+    z = _new(CScalar)
+    z._a = a
+    z._b = b
+    z._c = c
+    z._e = e
+    z._d = d
+    return z
+
+
+def _cnorm(a, b, c, e, d):
+    """The exact CScalar (a + b*sqrt3 + i(c + e*sqrt3))/d for any d > 0."""
+    if d != 1:
+        g = gcd(a, b, c, e, d)
+        if g != 1:
+            return _cmk(a // g, b // g, c // g, e // g, d // g)
+    return _cmk(a, b, c, e, d)
+
+
+def _cjoin(re, im):
+    """The CScalar re + i*im of two Scalars: five integers when both are
+    exact, the two parts as they are otherwise."""
+    if re._f is None and im._f is None:
+        d1, d2 = re._d, im._d
+        if d1 == d2:
+            return _cmk(re._n, re._m, im._n, im._m, d1)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g  # the lcm of two normal forms is normal
+        return _cmk(re._n * f1, re._m * f1, im._n * f2, im._m * f2, d1 * f1)
+    z = _new(CScalar)
+    z._d = None
+    z._re = re
+    z._im = im
+    return z
+
+
+def _is_exact_zero(s):
+    return s._f is None and not s._n and not s._m
+
+
 class CScalar:
     """Complex number with Scalar real and imaginary parts.
 
     Only what the spinor and twistor computations need: ring operations,
-    conjugation, division, magnitude.
+    conjugation, division, magnitude.  An exact value is the five integers
+    ``(a, b, c, e, d)``; ``_d is None`` marks one with a float part, which
+    keeps its parts as two Scalars ``_re`` and ``_im``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_c", "_e", "_d", "_re", "_im")
 
     def __init__(self, re=0, im=0):
-        self.re = scalar(re)
-        self.im = scalar(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._c, self._e, self._d = re, 0, im, 0, 1
+            return
+        z = _cjoin(scalar(re), scalar(im))
+        if z._d is None:
+            self._d, self._re, self._im = None, z._re, z._im
+        else:
+            self._a, self._b, self._c, self._e, self._d = \
+                z._a, z._b, z._c, z._e, z._d
+
+    @property
+    def re(self) -> Scalar:
+        if self._d is None:
+            return self._re
+        return _norm(self._a, self._b, self._d)
+
+    @property
+    def im(self) -> Scalar:
+        if self._d is None:
+            return self._im
+        return _norm(self._c, self._e, self._d)
 
     @property
     def is_exact(self) -> bool:
-        return self.re.is_exact and self.im.is_exact
+        return self._d is not None
 
     def conjugate(self) -> "CScalar":
-        return CScalar(self.re, -self.im)
+        if self._d is None:
+            return _cjoin(self._re, -self._im)
+        return _cmk(self._a, self._b, -self._c, -self._e, self._d)
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.re.is_zero(tol) and self.im.is_zero(tol)
+        if self._d is None:
+            return self._re.is_zero(tol) and self._im.is_zero(tol)
+        return not (self._a or self._b or self._c or self._e)
 
     def mag(self) -> float:
         return math.hypot(float(self.re), float(self.im))
@@ -367,54 +490,97 @@ class CScalar:
         if isinstance(x, CScalar):
             return x
         if isinstance(x, complex):
-            return CScalar(Scalar(_float=x.real), Scalar(_float=x.imag))
+            return _cjoin(Scalar(_float=x.real), Scalar(_float=x.imag))
         s = Scalar._coerce(x)
         if s is NotImplemented:
             return NotImplemented
-        return CScalar(s, ZERO)
+        if s._f is None:
+            return _cmk(s._n, s._m, 0, 0, s._d)
+        return _cjoin(s, ZERO)
 
     def __add__(self, other):
-        o = CScalar._coerce(other)
+        o = other if type(other) is CScalar else CScalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CScalar(self.re + o.re, self.im + o.im)
+        d = self._d
+        if d is None or o._d is None:
+            return _cjoin(self.re + o.re, self.im + o.im)
+        if d == o._d:
+            return _cnorm(self._a + o._a, self._b + o._b, self._c + o._c,
+                          self._e + o._e, d)
+        d2 = o._d
+        return _cnorm(self._a * d2 + o._a * d, self._b * d2 + o._b * d,
+                      self._c * d2 + o._c * d, self._e * d2 + o._e * d,
+                      d * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CScalar(-self.re, -self.im)
+        if self._d is None:
+            return _cjoin(-self._re, -self._im)
+        return _cmk(-self._a, -self._b, -self._c, -self._e, self._d)
 
     def __sub__(self, other):
-        o = CScalar._coerce(other)
+        o = other if type(other) is CScalar else CScalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        d = self._d
+        if d is None or o._d is None:
+            return self + (-o)
+        if d == o._d:
+            return _cnorm(self._a - o._a, self._b - o._b, self._c - o._c,
+                          self._e - o._e, d)
+        d2 = o._d
+        return _cnorm(self._a * d2 - o._a * d, self._b * d2 - o._b * d,
+                      self._c * d2 - o._c * d, self._e * d2 - o._e * d,
+                      d * d2)
 
     def __rsub__(self, other):
         o = CScalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = CScalar._coerce(other)
+        o = other if type(other) is CScalar else CScalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        si, oi = self.im, o.im
-        if si._f is None and not si._a and not si._b:
-            if oi._f is None and not oi._a and not oi._b:
-                return CScalar(self.re * o.re, ZERO)
-            return CScalar(self.re * o.re, self.re * oi)
-        if oi._f is None and not oi._a and not oi._b:
-            return CScalar(self.re * o.re, si * o.re)
-        return CScalar(self.re * o.re - si * oi,
-                       self.re * oi + si * o.re)
+        if self._d is None or o._d is None:
+            sr, si, orr, oi = self.re, self.im, o.re, o.im
+            if _is_exact_zero(si):
+                if _is_exact_zero(oi):
+                    return _cjoin(sr * orr, ZERO)
+                return _cjoin(sr * orr, sr * oi)
+            if _is_exact_zero(oi):
+                return _cjoin(sr * orr, si * orr)
+            return _cjoin(sr * orr - si * oi, sr * oi + si * orr)
+        # (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3
+        a1, b1, c1, e1 = self._a, self._b, self._c, self._e
+        a2, b2, c2, e2 = o._a, o._b, o._c, o._e
+        return _cnorm(a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
+                      a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+                      a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
+                      a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
+                      self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CScalar":
-        n = self.re * self.re + self.im * self.im
-        return CScalar(self.re / n, -self.im / n)
+        if self._d is None:
+            n = self._re * self._re + self._im * self._im
+            return _cjoin(self._re / n, -self._im / n)
+        a, b, c, e, d = self._a, self._b, self._c, self._e, self._d
+        # 1/z = d (x - i y) / (x^2 + y^2), and x^2 + y^2 = p + q*sqrt3 is
+        # inverted by its conjugate over the norm p^2 - 3 q^2
+        p = a * a + 3 * b * b + c * c + 3 * e * e
+        q = 2 * (a * b + c * e)
+        norm = p * p - 3 * q * q
+        if not norm:
+            raise ZeroDivisionError("scalar division by zero")
+        if norm < 0:
+            d, norm = -d, -norm
+        return _cnorm(d * (a * p - 3 * b * q), d * (b * p - a * q),
+                      d * (3 * e * q - c * p), d * (c * q - e * p), norm)
 
     def __truediv__(self, other):
         o = CScalar._coerce(other)
@@ -429,10 +595,13 @@ class CScalar:
         return o * self.inverse()
 
     def __eq__(self, other):
-        o = CScalar._coerce(other)
+        o = other if type(other) is CScalar else CScalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if self._d is None or o._d is None:
+            return self.re == o.re and self.im == o.im
+        return (self._d == o._d and self._a == o._a and self._b == o._b
+                and self._c == o._c and self._e == o._e)
 
     __hash__ = None
 
@@ -662,7 +831,7 @@ def identity(n, like=None):
 def dot(u, v):
     acc = None
     for x, y in zip(u, v):
-        if isinstance(x, Scalar) and x._f is None and not x._a and not x._b:
+        if isinstance(x, Scalar) and x._f is None and not x._n and not x._m:
             continue
         acc = x * y if acc is None else acc + x * y
     return acc if acc is not None else u[0] * v[0]

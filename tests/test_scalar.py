@@ -233,6 +233,31 @@ def test_cscalar_exactness():
 # -- linear algebra --------------------------------------------------------
 
 
+def test_exact_arithmetic_never_builds_a_fraction():
+    # the exact kernel works on plain integers; a Fraction made in the
+    # hot path would bring back the cost the integer kernel removed
+    import cProfile
+    import fractions
+    import pstats
+
+    xs = [Scalar(Fraction(3, 4), -2), Scalar(5, Fraction(1, 6)), Scalar(-7),
+          sqrt3(), Scalar(Fraction(-9, 10), Fraction(7, 15))]
+    zs = [CScalar(x, y) for x, y in zip(xs, xs[1:] + xs[:1])]
+    zs.append(CScalar(0, 1))
+    prof = cProfile.Profile()
+    prof.enable()
+    for field in (xs, zs):
+        for x in field:
+            for y in field:
+                s, p = x + y, x * y
+                assert s - y == x and p / y == x and not p.is_zero()
+                assert (x - x).is_zero() and (2 + x) * 3 == 6 + 3 * x
+    prof.disable()
+    new = fractions.Fraction.__new__.__code__
+    key = (new.co_filename, new.co_firstlineno, new.co_name)
+    assert key not in pstats.Stats(prof).stats
+
+
 def test_nullspace_exact():
     A = [[scalar(1), scalar(1), scalar(0)],
          [scalar(0), scalar(0), scalar(1)]]
