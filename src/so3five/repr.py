@@ -69,6 +69,14 @@ def _upsilon_third():
     return out
 
 
+@lru_cache(maxsize=1)
+def _e_support():
+    """For each pair (i, j), the nonzero entries (t, value) of (E_t)_ij."""
+    E = E_matrices()
+    return [[[(t, E[t][i][j]) for t in range(3) if not E[t][i][j].is_zero()]
+             for j in range(N)] for i in range(N)]
+
+
 class Tensor2:
     """Dense element of the 25-dimensional space of two-tensors on R^5."""
 
@@ -324,12 +332,23 @@ class CurvTensor:
         if len(r_forms) != 3:
             raise ValueError("need three curvature 2-forms")
         E = E_matrices()
-        R = [Tensor2.from_form(f) for f in r_forms]
+        support = _e_support()
+        R = [Tensor2.from_form(f).m for f in r_forms]
+        x = [[[[None] * N for _ in range(N)] for _ in range(N)]
+             for _ in range(N)]
+        for k in range(N):
+            for l in range(N):
+                r = [R[t][k][l] for t in range(3)]
+                # a product of an exact zero with a float is a float 0.0,
+                # which makes the sum a float: such a column keeps every term
+                full = not all(v.is_exact for v in r)
+                for i in range(N):
+                    for j in range(N):
+                        terms = ((E[t][i][j] * r[t] for t in range(3)) if full
+                                 else (e * r[t] for t, e in support[i][j]))
+                        x[i][j][k][l] = sum(terms, Scalar(0))
         obj = cls.__new__(cls)
-        obj.x = [[[[sum((E[t][i][j] * R[t].m[k][l] for t in range(3)),
-                        Scalar(0))
-                    for l in range(N)] for k in range(N)]
-                  for j in range(N)] for i in range(N)]
+        obj.x = x
         return obj
 
     def ricci(self):

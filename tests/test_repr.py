@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -321,6 +322,36 @@ def test_curvature_single_so3_line():
     assert out["present"]["c1"] and out["present"]["c5"] and out["present"]["c15"]
     for name in ("c3", "c7", "c9"):
         assert not out["present"][name], name
+
+
+def test_curvature_from_forms_matches_the_dense_sum_on_floats():
+    # from_forms skips the products by zero entries of E_t; where a float
+    # factor makes such a product a float 0.0, the dense sum is a float,
+    # and so must the entry be
+    rng = random.Random(11)
+    forms = []
+    for _ in range(3):
+        terms = []
+        for a, b in PAIRS:
+            kind = rng.randrange(3)
+            if kind == 1:
+                terms.append(((a + 1, b + 1),
+                              scalar(Fraction(rng.randint(-3, 3), 2))))
+            elif kind == 2:
+                terms.append(((a + 1, b + 1),
+                              Scalar.from_float(rng.uniform(-2, 2))))
+        forms.append(FLAT.form(2, terms))
+    K = CurvTensor.from_forms(forms)
+    E, R = E_matrices(), [Tensor2.from_form(f).m for f in forms]
+    kinds = set()
+    for i, j, k, l in itertools.product(range(5), repeat=4):
+        dense = sum((E[t][i][j] * R[t][k][l] for t in range(3)), Scalar(0))
+        x = K.x[i][j][k][l]
+        assert (x.is_exact, x.to_string()) == \
+            (dense.is_exact, dense.to_string())
+        kinds.add((x.is_exact, x.is_zero(0.0)))
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
 
 
 def test_curvature_so3_violation_detected():
