@@ -248,9 +248,13 @@ def tor27_model(rho, phi=0.0) -> CoframeModel:
         })
 
 
+def _is_angle(phi):
+    """phi in [0, 2*pi), allowing for rounding at 2*pi; never inf or nan."""
+    return 0 <= phi < 2 * math.pi + 1e-9
+
+
 def _check_phi(phi):
-    phi = float(phi)
-    if not 0 <= phi < 2 * math.pi + 1e-9:
+    if not _is_angle(float(phi)):
         raise ModelError("phi must lie in [0, 2*pi)")
 
 
@@ -576,8 +580,18 @@ _register(CatalogEntry(
 ))
 
 
-def resolve_params(entry: CatalogEntry, given=None):
+def resolve_params(entry: CatalogEntry, given=None, where=None):
+    """The entry's parameters from `given` (name -> value), with defaults.
+
+    With `where`, the JSON pointer of `given` in a model file, an error
+    about one parameter ends with that parameter's pointer."""
     given = dict(given or {})
+
+    def bad(message, name=None):
+        if where is not None:
+            message += f" (at {where}/{name})" if name else f" (at {where})"
+        return ModelError(message)
+
     resolved = {}
     for spec in entry.params:
         raw = given.pop(spec.name, spec.default)
@@ -586,27 +600,31 @@ def resolve_params(entry: CatalogEntry, given=None):
                 resolved[spec.name] = Scalar.from_string(raw) \
                     if isinstance(raw, str) else scalar(raw)
             except (ValueError, TypeError):
-                raise ModelError("bad value %r for parameter %s"
-                                 % (raw, spec.name)) from None
+                raise bad("bad value %r for parameter %s"
+                          % (raw, spec.name), spec.name) from None
         elif spec.kind == "float":
             try:
-                resolved[spec.name] = float(raw)
+                val = float(raw)
             except (ValueError, TypeError):
-                raise ModelError("bad value %r for parameter %s"
-                                 % (raw, spec.name)) from None
+                raise bad("bad value %r for parameter %s"
+                          % (raw, spec.name), spec.name) from None
+            if not _is_angle(val):  # every float parameter is an angle
+                raise bad("parameter %s must lie in [0, 2*pi)" % spec.name,
+                          spec.name)
+            resolved[spec.name] = val
         else:
             try:
                 val = int(raw)
             except (ValueError, TypeError, OverflowError):
-                raise ModelError("bad value %r for parameter %s"
-                                 % (raw, spec.name)) from None
+                raise bad("bad value %r for parameter %s"
+                          % (raw, spec.name), spec.name) from None
             if val not in spec.choices:
-                raise ModelError("parameter %s must be one of %s"
-                                 % (spec.name, list(spec.choices)))
+                raise bad("parameter %s must be one of %s"
+                          % (spec.name, list(spec.choices)), spec.name)
             resolved[spec.name] = val
     if given:
-        raise ModelError("unknown parameters for %s: %s"
-                         % (entry.name, ", ".join(sorted(given))))
+        raise bad("unknown parameters for %s: %s"
+                  % (entry.name, ", ".join(sorted(given))))
     return resolved
 
 

@@ -169,10 +169,7 @@ def _catalog_rows(model, stanza, tol):
     params = stanza.get("params") or {}
     if not isinstance(params, dict):
         raise ModelError("catalog params must be an object (at /catalog/params)")
-    try:
-        resolved = resolve_params(CATALOG[name], params)
-    except ModelError as e:
-        raise ModelError(f"{e} (at /catalog/params)") from None
+    resolved = resolve_params(CATALOG[name], params, where="/catalog/params")
     expect = expected_properties(name, resolved, model)
     return verify_expectations(model, expect, tol)
 

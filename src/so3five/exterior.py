@@ -322,6 +322,8 @@ class CoframeModel:
         for field in ("name", "labels", "d"):
             if field not in data:
                 raise ModelError(f"model JSON is missing {field!r} (at /{field})")
+        if not isinstance(data["name"], str):
+            raise ModelError("name must be a string (at /name)")
         labels = data["labels"]
         n_fiber = len(labels) - N_BASE if isinstance(labels, list) else None
         if n_fiber not in _ALLOWED_FIBERS \

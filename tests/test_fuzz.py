@@ -160,17 +160,24 @@ SIX2 = ("six-dim-2", {"t1": "1", "t2": "2"})
     (TOR23, _set(("catalog",), 1.5), "(at /catalog)"),
     (TOR23, _set(("catalog", "entry"), None), "(at /catalog/entry)"),
     (TOR23, _set(("catalog", "params"), [1]), "(at /catalog/params)"),
-    (TOR23, _set(("catalog", "params", "eps"), {}), "(at /catalog/params)"),
+    (TOR23, _set(("catalog", "params", "eps"), {}),
+     "(at /catalog/params/eps)"),
     (TOR23, _set(("catalog", "params", "eps"), math.inf),
-     "(at /catalog/params)"),
+     "(at /catalog/params/eps)"),
     (TOR23, _set(("catalog", "params", "g1"), "1"), "(at /catalog/params)"),
+    (TOR23, _set(("catalog", "params", "phi"), math.inf),
+     "(at /catalog/params/phi)"),
+    (TOR23, _set(("catalog", "params", "phi"), math.nan),
+     "(at /catalog/params/phi)"),
+    (TOR23, _set(("name",), {"x": [1]}), "(at /name)"),
 ], ids=["root-not-object", "four-labels", "repeated-label",
         "d-entry-repeats-label", "d-squared-nonzero",
         "bundle-without-connection", "connection-misses-vertical-part",
         "catalog-not-object", "catalog-entry-not-a-name",
         "catalog-params-not-object", "catalog-param-bad-value",
         "catalog-param-infinite",
-        "catalog-param-unknown"])
+        "catalog-param-unknown", "catalog-angle-infinite", "catalog-angle-nan",
+        "name-not-a-string"])
 def test_input_error_points_at_the_fault(capsys, model_path, base, mutate,
                                          pointer):
     model_path.write_text(json.dumps(mutate(entry_json(*base))))
