@@ -264,23 +264,16 @@ class Scalar:
         return self
 
     def __sub__(self, other):
-        o = other if type(other) is Scalar else Scalar._coerce(other)
+        o = Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self._f is None and o._f is None:
-            d = self._d
-            if d == o._d:
-                return _norm(self._n - o._n, self._m - o._m, d)
-            d2 = o._d
-            return _norm(self._n * d2 - o._n * d, self._m * d2 - o._m * d,
-                         d * d2)
-        return Scalar(_float=float(self) + float(-o))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __mul__(self, other):
         o = other if type(other) is Scalar else Scalar._coerce(other)
@@ -410,16 +403,21 @@ def _cnorm(a, b, c, e, d):
     return _cmk(a, b, c, e, d)
 
 
+def _five(re, im):
+    """The five integers of the exact CScalar re + i*im."""
+    d1, d2 = re._d, im._d
+    if d1 == d2:
+        return re._n, re._m, im._n, im._m, d1
+    g = gcd(d1, d2)
+    f1, f2 = d2 // g, d1 // g  # the lcm of two normal forms is normal
+    return re._n * f1, re._m * f1, im._n * f2, im._m * f2, d1 * f1
+
+
 def _cjoin(re, im):
     """The CScalar re + i*im of two Scalars: five integers when both are
     exact, the two parts as they are otherwise."""
     if re._f is None and im._f is None:
-        d1, d2 = re._d, im._d
-        if d1 == d2:
-            return _cmk(re._n, re._m, im._n, im._m, d1)
-        g = gcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g  # the lcm of two normal forms is normal
-        return _cmk(re._n * f1, re._m * f1, im._n * f2, im._m * f2, d1 * f1)
+        return _cmk(*_five(re, im))
     z = _new(CScalar)
     z._d = None
     z._re = re
@@ -446,12 +444,11 @@ class CScalar:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._c, self._e, self._d = re, 0, im, 0, 1
             return
-        z = _cjoin(scalar(re), scalar(im))
-        if z._d is None:
-            self._d, self._re, self._im = None, z._re, z._im
+        re, im = scalar(re), scalar(im)
+        if re._f is None and im._f is None:
+            self._a, self._b, self._c, self._e, self._d = _five(re, im)
         else:
-            self._a, self._b, self._c, self._e, self._d = \
-                z._a, z._b, z._c, z._e, z._d
+            self._d, self._re, self._im = None, re, im
 
     @property
     def re(self) -> Scalar:
@@ -521,25 +518,16 @@ class CScalar:
         return _cmk(-self._a, -self._b, -self._c, -self._e, self._d)
 
     def __sub__(self, other):
-        o = other if type(other) is CScalar else CScalar._coerce(other)
+        o = CScalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._d
-        if d is None or o._d is None:
-            return self + (-o)
-        if d == o._d:
-            return _cnorm(self._a - o._a, self._b - o._b, self._c - o._c,
-                          self._e - o._e, d)
-        d2 = o._d
-        return _cnorm(self._a * d2 - o._a * d, self._b * d2 - o._b * d,
-                      self._c * d2 - o._c * d, self._e * d2 - o._e * d,
-                      d * d2)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = CScalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __mul__(self, other):
         o = other if type(other) is CScalar else CScalar._coerce(other)
