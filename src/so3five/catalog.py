@@ -427,6 +427,7 @@ class ParamSpec:
     default: object
     doc: str
     choices: tuple = ()
+    positive: bool = False   # a scalar that must be greater than zero
 
 
 @dataclass(frozen=True)
@@ -462,8 +463,8 @@ def _sign(x):
     return (v > 0) - (v < 0)
 
 
-def _p_scalar(name, default, doc):
-    return ParamSpec(name, "scalar", default, doc)
+def _p_scalar(name, default, doc, positive=False):
+    return ParamSpec(name, "scalar", default, doc, positive=positive)
 
 
 CATALOG = {}
@@ -545,7 +546,7 @@ _register(CatalogEntry(
     name="tor23",
     summary="pure 3-class torsion with 5-dimensional symmetry",
     symmetry_dim=5,
-    params=(_p_scalar("rho", 1, "positive scale"),
+    params=(_p_scalar("rho", 1, "positive scale", positive=True),
             ParamSpec("phi", "float", 0.0, "angle in [0, 2*pi)"),
             ParamSpec("eps", "choice", 1, "sign parameter", (1, -1)),
             ParamSpec("delta", "choice", 0, "group selector", (0, 1))),
@@ -560,7 +561,7 @@ _register(CatalogEntry(
     name="tor27",
     summary="pure 7-class torsion with 5-dimensional symmetry",
     symmetry_dim=5,
-    params=(_p_scalar("rho", 1, "positive scale"),
+    params=(_p_scalar("rho", 1, "positive scale", positive=True),
             ParamSpec("phi", "float", 0.0, "angle in [0, 2*pi)")),
     builder=lambda rho, phi: tor27_model(rho, phi),
     expected=_expect_tor27,
@@ -602,6 +603,8 @@ def resolve_params(entry: CatalogEntry, given=None, where=None):
             except (ValueError, TypeError):
                 raise bad("bad value %r for parameter %s"
                           % (raw, spec.name), spec.name) from None
+            if spec.positive and resolved[spec.name].sign() <= 0:
+                raise bad("%s must be positive" % spec.name, spec.name)
         elif spec.kind == "float":
             try:
                 val = float(raw)
@@ -665,11 +668,10 @@ def verify_expectations(model, expect, tol=DEFAULT_TOL):
     """Compare computed geometry against the expected oracles.
 
     Returns a list of rows {check, ok, residual, expected, computed};
-    never mutates the computation inputs.  The report kept in
-    Analysis(model, tol) is read, not built again.
+    never mutates the computation inputs.
     """
-    from .connection import Analysis, build_report
-    report = Analysis(model, tol).kept("report") or build_report(model, tol)
+    from .connection import build_report
+    report = build_report(model, tol)
     rows = []
 
     def add(check, ok, residual, exp_repr, got_repr):

@@ -176,8 +176,7 @@ def _catalog_rows(model, stanza, tol):
 
 def classify_data(model: CoframeModel, data=None, tol=DEFAULT_TOL) -> dict:
     """Everything cmd_classify reports, as one JSON-ready dictionary."""
-    analysis = Analysis(model, tol)  # held, so every stage below runs once
-    report = build_report(model, tol)
+    report = build_report(model, tol)  # held, so every stage runs once
     out = {
         "model": model.name,
         "dimension": model.dim,
@@ -355,7 +354,6 @@ def cmd_catalog(words) -> int:
 def cmd_cr(args) -> int:
     tol = args.tol
     model, _ = _read_model(args.file, tol)
-    analysis = Analysis(model, tol)  # held across the calls below
     report = build_report(model, tol)
     if not report.nearly_integrable:
         print(f"model: {model.name}")
@@ -461,7 +459,6 @@ def _selftest_table(seed, tol):
 
     def j0_right(m, want):
         """Whether the j0 residuals and the forecast both say `want`."""
-        analysis = Analysis(m, cr_tol)  # held across both calls
         return cr_residuals(m, "j0", tol=cr_tol)["integrable"] == want \
             and predicted_verdict(m, tol)["integrable"] == want
 

@@ -10,10 +10,9 @@ the Weyl tensor, and the 3x3 complex Cartan connection all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import inspect
 from fractions import Fraction
-from itertools import permutations
-from weakref import WeakValueDictionary
 
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import (
@@ -42,6 +41,11 @@ class StructureError(ValueError):
         self.residual = residual
 
 
+def _one_form(model: CoframeModel, coeffs) -> Form:
+    """The 1-form sum_k coeffs[k] theta^(k+1)."""
+    return model.form(1, [((k + 1,), c) for k, c in enumerate(coeffs)])
+
+
 class So3Connection:
     """Three connection 1-forms; the matrix form is gamma^I E_I."""
 
@@ -59,13 +63,7 @@ class So3Connection:
     @classmethod
     def from_coeffs(cls, model, coeffs):
         """coeffs[I][k] are the theta^k coefficients of gamma^I."""
-        gammas = []
-        for row in coeffs:
-            f = model.zero(1)
-            for k in range(N):
-                f = f + model.basis(k + 1) * row[k]
-            gammas.append(f)
-        return cls(model, gammas)
+        return cls(model, [_one_form(model, row) for row in coeffs])
 
     def matrix_entry(self, i, j) -> Form:
         """The (i, j) entry of gamma^I E_I as a 1-form."""
@@ -77,12 +75,42 @@ class So3Connection:
                 out = out + self.gammas[t] * c
         return out
 
-    @property
-    def is_exact(self):
-        return all(g.is_exact for g in self.gammas)
-
     def is_zero(self, tol=DEFAULT_TOL):
         return all(g.is_zero(tol) for g in self.gammas)
+
+
+# -- stages computed once per model and tolerance ---------------------------
+
+
+def _once(store, key, build, *args):
+    """store[key], computed as build(*args) on first read."""
+    if key not in store:
+        store[key] = build(*args)
+    return store[key]
+
+
+def stage(fn):
+    """Keep fn(model, ..., tol) in Analysis(model, tol).
+
+    The first call computes the value; later calls return it while the
+    analysis lives.  It is keyed by fn's name and its arguments other than
+    model and tol.  A call given its own connection (a gamma other than
+    None) belongs to no analysis and is computed afresh.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def kept_in_analysis(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        given = dict(call.arguments)
+        model, tol = given.pop("model"), given.pop("tol")
+        if given.pop("gamma", None) is not None:
+            return fn(*call.args)
+        return _once(Analysis(model, tol).stages,
+                     (fn.__name__, *given.values()), fn, *call.args)
+
+    return kept_in_analysis
 
 
 # -- Levi-Civita on base models --------------------------------------------
@@ -99,13 +127,7 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
     if model.n_fiber != 0:
         raise ModelError("Levi-Civita solver needs a base model (no fiber legs)")
     d_forms = [model.d_of(i + 1) for i in range(N)]
-    zero = Scalar(0)
-    c = [[[zero] * N for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for a, b in PAIRS:
-            v = d_forms[i].coeff((a + 1, b + 1))
-            c[i][a][b] = v
-            c[i][b][a] = -v
+    c = [_dense(d) for d in d_forms]
     half = scalar(Fraction(1, 2))
     xi = ConnTensor.from_pairs({
         (i, j, k): half * (c[i][j][k] + c[j][k][i] - c[k][i][j])
@@ -114,10 +136,8 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
     for i in range(N):
         check = d_forms[i]
         for j in range(N):
-            gamma_ij = model.zero(1)
-            for k in range(N):
-                gamma_ij = gamma_ij + model.basis(k + 1) * xi.x[i][j][k]
-            check = check + wedge(gamma_ij, model.basis(j + 1))
+            check = check + wedge(_one_form(model, xi.x[i][j]),
+                                  model.basis(j + 1))
         if not check.is_zero():
             raise RuntimeError("first structure equation failed to close")
     return xi
@@ -130,7 +150,7 @@ def _bundle_torsion_tensor(model: CoframeModel):
     """Dense T_ijk from the 2-forms d theta^i + Gamma^i_j ^ theta^j of the
     declared connection Gamma, and the residual of its skew symmetry."""
     gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
-    x = [[[Scalar(0) for _ in range(N)] for _ in range(N)] for _ in range(N)]
+    x = []
     for i in range(N):
         Ti = model.d_of(i + 1)
         for j in range(N):
@@ -139,10 +159,7 @@ def _bundle_torsion_tensor(model: CoframeModel):
             raise ModelError(
                 "declared connection does not absorb the vertical part of "
                 "d theta^%d (at /connection)" % (i + 1))
-        for j, k in PAIRS:
-            v = Ti.coeff((j + 1, k + 1))
-            x[i][j][k] = v
-            x[i][k][j] = -v
+        x.append(_dense(Ti))
     skew = 0.0
     for i in range(N):
         for j in range(N):
@@ -151,12 +168,10 @@ def _bundle_torsion_tensor(model: CoframeModel):
     return x, skew
 
 
+@stage
 def nearly_integrable(model: CoframeModel, tol=DEFAULT_TOL):
     """Flag plus residual; exact models give exact verdicts."""
     analysis = Analysis(model, tol)
-    kept = analysis.kept("nearly_integrable")
-    if kept is not None:
-        return kept
     if model.n_fiber == 0:
         xi = analysis.levi_civita
         img = upsilon_prime(xi)
@@ -165,7 +180,7 @@ def nearly_integrable(model: CoframeModel, tol=DEFAULT_TOL):
             flag = all(v.is_zero() for v in img.values())
         else:
             flag = residual <= tol * max(1.0, xi.max_mag())
-        return analysis.keep("nearly_integrable", (flag, residual))
+        return flag, residual
     if not model.has_connection:
         raise ModelError("bundle model lacks a declared connection "
                          "(at /connection)")
@@ -179,15 +194,13 @@ def nearly_integrable(model: CoframeModel, tol=DEFAULT_TOL):
         scale = max(1.0, max(abs(float(x[i][j][k])) for i in range(N)
                              for j in range(N) for k in range(N)))
         flag = skew <= tol * scale
-    return analysis.keep("nearly_integrable", (flag, skew))
+    return flag, skew
 
 
+@stage
 def characteristic_connection(model: CoframeModel, tol=DEFAULT_TOL):
     """The group-valued connection and its totally skew torsion 3-form."""
     analysis = Analysis(model, tol)
-    kept = analysis.kept("characteristic")
-    if kept is not None:
-        return kept
     if model.n_fiber == 0:
         xi, parts = analysis.levi_civita, analysis.split
         rem = parts["remainder"]
@@ -200,10 +213,9 @@ def characteristic_connection(model: CoframeModel, tol=DEFAULT_TOL):
                 "does not split into a group part plus skew torsion "
                 "(residual %.3e)" % residual, residual=residual)
         gamma = So3Connection.from_coeffs(model, parts["gamma_coeffs"])
-        T = model.zero(3)
-        for (a, b, c), v in parts["torsion_coeffs"].items():
-            T = T + model.basis(a + 1, b + 1, c + 1) * (2 * v)
-        return analysis.keep("characteristic", (gamma, T))
+        return gamma, model.form(3, [((a + 1, b + 1, c + 1), 2 * v) for
+                                     (a, b, c), v in
+                                     parts["torsion_coeffs"].items()])
     flag, skew = nearly_integrable(model, tol)
     if not flag:
         raise StructureError(
@@ -211,10 +223,8 @@ def characteristic_connection(model: CoframeModel, tol=DEFAULT_TOL):
             residual=skew)
     gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
     x, _ = analysis.bundle_torsion
-    T = model.zero(3)
-    for a, b, c in TRIPLES:
-        T = T + model.basis(a + 1, b + 1, c + 1) * x[a][b][c]
-    return analysis.keep("characteristic", (gamma, T))
+    return gamma, model.form(3, [((a + 1, b + 1, c + 1), x[a][b][c])
+                                 for a, b, c in TRIPLES])
 
 
 # -- curvature --------------------------------------------------------------
@@ -243,8 +253,9 @@ def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
     curv = [[sum((r_forms[t] * E[t][i][j] for t in range(3)
                   if not E[t][i][j].is_zero()), model.zero(2))
              for j in range(N)] for i in range(N)]
-    dense = _three_form_dense(T)
-    tors = [_torsion_two_form(model, dense, i) for i in range(N)]
+    dense = _dense(T)
+    tors = [model.form(2, [((j + 1, k + 1), dense[i][j][k]) for j, k in PAIRS])
+            for i in range(N)]
     first = 0.0
     for i in range(N):
         res = ext_d(tors[i])
@@ -264,32 +275,21 @@ def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
     return {"first": first, "second": second}
 
 
-def _three_form_dense(T: Form):
-    x = [[[Scalar(0) for _ in range(N)] for _ in range(N)] for _ in range(N)]
-    for idx, v in T.terms.items():
-        a, b, c = (t - 1 for t in idx)
-        base = (a, b, c)
-        for p in permutations(base):
-            sign = _perm_parity(p, base)
-            x[p[0]][p[1]][p[2]] = v * sign
+def _dense(form: Form):
+    """The coefficients of a 2- or 3-form on the base as a full
+    antisymmetric array, indexed from 0."""
+    zero = Scalar(0)
+    if form.degree == 2:
+        x = [[zero] * N for _ in range(N)]
+        for (a, b), v in form.terms.items():
+            x[a - 1][b - 1], x[b - 1][a - 1] = v, -v
+        return x
+    x = [[[zero] * N for _ in range(N)] for _ in range(N)]
+    for (a, b, c), v in form.terms.items():
+        a, b, c = a - 1, b - 1, c - 1
+        x[a][b][c] = x[b][c][a] = x[c][a][b] = v
+        x[b][a][c] = x[a][c][b] = x[c][b][a] = -v
     return x
-
-
-def _perm_parity(p, base):
-    order = [base.index(t) for t in p]
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
-
-
-def _torsion_two_form(model, dense, i):
-    out = model.zero(2)
-    for j, k in PAIRS:
-        out = out + model.basis(j + 1, k + 1) * dense[i][j][k]
-    return out
 
 
 # -- Ricci tensors ----------------------------------------------------------
@@ -300,41 +300,26 @@ def _lc_riemann(model: CoframeModel, xi: ConnTensor = None):
     given) on a base model."""
     if xi is None:
         xi = levi_civita(model)
-    gamma_forms = [[None] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            f = model.zero(1)
-            for k in range(N):
-                f = f + model.basis(k + 1) * xi.x[i][j][k]
-            gamma_forms[i][j] = f
+    gamma_forms = [[_one_form(model, xi.x[i][j]) for j in range(N)]
+                   for i in range(N)]
     R = [[None] * N for _ in range(N)]
     for i in range(N):
         for j in range(N):
             f = ext_d(gamma_forms[i][j])
             for k in range(N):
                 f = f + wedge(gamma_forms[i][k], gamma_forms[k][j])
-            R[i][j] = f
-    x = [[[[Scalar(0) for _ in range(N)] for _ in range(N)]
-          for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            for k, l in PAIRS:
-                v = R[i][j].coeff((k + 1, l + 1))
-                x[i][j][k][l] = v
-                x[i][j][l][k] = -v
-    return CurvTensor(x)
+            R[i][j] = _dense(f)
+    return CurvTensor(R)
 
 
+@stage
 def ricci(model: CoframeModel, tol=DEFAULT_TOL):
     """Both Ricci tensors, the relation residual, and torsion differentials."""
     analysis = Analysis(model, tol)
-    kept = analysis.kept("ricci")
-    if kept is not None:
-        return kept
     gamma, T = characteristic_connection(model, tol)
     r_forms, K = analysis.curvature
     ric_gamma = K.ricci()
-    dense = _three_form_dense(T)
+    dense = _dense(T)
     quarter = scalar(Fraction(1, 4))
     t_sq = Tensor2([[sum((dense[i][k][l] * dense[j][k][l]
                           for k in range(N) for l in range(N)), Scalar(0))
@@ -362,7 +347,7 @@ def ricci(model: CoframeModel, tol=DEFAULT_TOL):
         rel = 0.0
     sym_flag = (ric_gamma - ric_gamma.transpose()).is_zero(tol)
     codiff_zero = sds.is_zero(tol)
-    return analysis.keep("ricci", {
+    return {
         "ric_lc": ric_lc,
         "ric_gamma": ric_gamma,
         "relation_residual": rel,
@@ -375,7 +360,7 @@ def ricci(model: CoframeModel, tol=DEFAULT_TOL):
         "gamma": gamma,
         "r_forms": r_forms,
         "K": K,
-    })
+    }
 
 
 # -- Weyl tensor ------------------------------------------------------------
@@ -519,149 +504,110 @@ def cartan_su3(model: CoframeModel, gamma: So3Connection, tol=DEFAULT_TOL):
     }
 
 
-# -- aggregate report -------------------------------------------------------
+# -- the analysis of one model at one tolerance -----------------------------
 
 
-@dataclass
-class GeometryReport:
-    """Everything the classifier computes for one model."""
+class _Stage:
+    """An Analysis attribute: build(analysis), computed on first read and
+    kept in the analysis."""
 
-    model_name: str
-    tolerance: float
-    nearly_integrable: bool
-    ni_residual: float
-    torsion: Form = None
-    torsion_t3: Form = None
-    torsion_t7: Form = None
-    r_forms: list = None
-    curvature_components: dict = None
-    ric_lc: Tensor2 = None
-    ric_gamma: Tensor2 = None
-    ricci_relation_residual: float = None
-    bianchi_residuals: dict = None
-    dT: Form = None
-    star_d_star_T: Tensor2 = None
-    codifferential_zero: bool = None
-    ric_gamma_symmetric: bool = None
-    failure: str = None
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, analysis, owner=None):
+        if analysis is None:
+            return self
+        return _once(self.store(analysis), self.name, self.build, analysis)
+
+    def store(self, analysis):
+        return analysis.stages
 
 
-def build_report(model: CoframeModel, tol=DEFAULT_TOL) -> GeometryReport:
-    analysis = Analysis(model, tol)
-    kept = analysis.kept("report")
-    if kept is not None:
-        return kept
-    flag, ni_res = nearly_integrable(model, tol)
-    if not flag:
-        return analysis.keep("report", GeometryReport(
-            model_name=model.name, tolerance=tol, nearly_integrable=False,
-            ni_residual=ni_res, failure="not nearly integrable"))
-    data = ricci(model, tol)
-    tt = torsion_type(data["torsion"]) if not data["torsion"].is_zero() else None
-    comps = decompose_curvature(data["K"], tol)
-    bianchi = bianchi_check(model, data["gamma"], data["torsion"], data["r_forms"])
-    return analysis.keep("report", GeometryReport(
-        model_name=model.name,
-        tolerance=tol,
-        nearly_integrable=True,
-        ni_residual=ni_res,
-        torsion=data["torsion"],
-        torsion_t3=tt["t3"] if tt else None,
-        torsion_t7=tt["t7"] if tt else None,
-        r_forms=data["r_forms"],
-        curvature_components=comps,
-        ric_lc=data["ric_lc"],
-        ric_gamma=data["ric_gamma"],
-        ricci_relation_residual=data["relation_residual"],
-        bianchi_residuals=bianchi,
-        dT=data["dT"],
-        star_d_star_T=data["star_d_star_T"],
-        codifferential_zero=data["codifferential_zero"],
-        ric_gamma_symmetric=data["ric_gamma_symmetric"],
-    ))
+class _Shared(_Stage):
+    """A stage that never reads the tolerance, kept on the model and shared
+    by all its analyses."""
+
+    def store(self, analysis):
+        return analysis.model.stages
 
 
-# -- one analysis per model and tolerance -----------------------------------
+class _Field(_Stage):
+    """A report field: None when the model is not nearly integrable."""
+
+    def __init__(self, build):
+        super().__init__(lambda a: build(a) if a.nearly_integrable else None)
 
 
-class _Stages(dict):
-    """Stage results by name; unlike a plain dict it can be weakly held."""
+def _from_ricci(key):
+    return _Field(lambda a: ricci(a.model, a.tolerance)[key])
 
 
 class Analysis:
-    """The derived geometry of one model at one tolerance.
+    """The derived geometry of one model at one tolerance: its report.
 
-    The functions here and in spin and twistor that take (model, tol) keep
-    their results in Analysis(model, tol), and while anyone holds that
-    analysis, Analysis(model, tol) returns the same object: a caller that
-    holds one makes each of those functions compute once for the model and
-    tolerance.  The stages that never read the tolerance (the Levi-Civita
-    connection, its split and Riemann tensor, the torsion of a declared
-    connection) are shared by all the live analyses of the model.  Functions
-    given an explicit connection keep nothing.
+    Analysis(model, tol) is the live analysis of the model at tol, or a new
+    one.  Every attribute past model and tolerance is computed on first
+    read, so a command computes only what it prints, and the @stage
+    functions of this module, spin and twistor keep their results here.
+    The model holds its analyses weakly: the forms of a stage (torsion,
+    curvature forms, the twistor coframe) point back at the model, so a
+    model that held them would form a cycle, freed only by the cyclic
+    garbage collector.  The shared stages hold no form and live on the
+    model.
     """
 
-    __slots__ = ("model", "tol", "_shared", "_own", "__weakref__")
+    __slots__ = ("model", "tolerance", "stages", "__weakref__")
 
     def __new__(cls, model: CoframeModel, tol=DEFAULT_TOL):
-        # the model holds its analyses and their shared stages weakly: a
-        # model is freed only by the cyclic garbage collector (its cached
-        # d-forms refer back to it), so stages it held strongly would stay
-        # in memory until the next full collection
-        live = model.__dict__.setdefault("_analysis", WeakValueDictionary())
-        self = live.get(tol)
+        self = model.analyses.get(tol)
         if self is None:
-            self = super().__new__(cls)
-            self.model, self.tol, self._own = model, tol, {}
-            self._shared = live.get(None)
-            if self._shared is None:
-                self._shared = live[None] = _Stages()
-            live[tol] = self
+            self = model.analyses[tol] = super().__new__(cls)
+            self.model, self.tolerance, self.stages = model, tol, {}
         return self
 
-    def kept(self, stage):
-        """The result kept for `stage` at this tolerance, or None."""
-        return self._own.get(stage)
+    # a name called in a lambda is the module function, not the attribute
+    levi_civita = _Shared(lambda a: levi_civita(a.model))
+    # the Levi-Civita connection as group part + skew torsion + remainder
+    split = _Shared(lambda a: split_connection(a.levi_civita))
+    lc_riemann = _Shared(lambda a: _lc_riemann(a.model, a.levi_civita))
+    # (T_ijk, skew residual) of a bundle model's declared connection
+    bundle_torsion = _Shared(lambda a: _bundle_torsion_tensor(a.model))
+    # (r_forms, K) of the characteristic connection
+    curvature = _Stage(lambda a: curvature(
+        a.model, characteristic_connection(a.model, a.tolerance)[0]))
 
-    def keep(self, stage, value):
-        """Keep `value` as the result of `stage` at this tolerance."""
-        self._own[stage] = value
-        return value
+    # -- the report
+    model_name = _Stage(lambda a: a.model.name)
+    nearly_integrable = _Stage(
+        lambda a: nearly_integrable(a.model, a.tolerance)[0])
+    ni_residual = _Stage(lambda a: nearly_integrable(a.model, a.tolerance)[1])
+    failure = _Stage(
+        lambda a: None if a.nearly_integrable else "not nearly integrable")
+    torsion = _Field(lambda a: characteristic_connection(a.model,
+                                                         a.tolerance)[1])
+    _torsion_classes = _Field(lambda a: torsion_type(a.torsion)
+                              if not a.torsion.is_zero()
+                              else {"t3": None, "t7": None})
+    torsion_t3 = _Field(lambda a: a._torsion_classes["t3"])
+    torsion_t7 = _Field(lambda a: a._torsion_classes["t7"])
+    r_forms = _Field(lambda a: a.curvature[0])
+    curvature_components = _Field(
+        lambda a: decompose_curvature(a.curvature[1], a.tolerance))
+    bianchi_residuals = _Field(lambda a: bianchi_check(
+        a.model, *characteristic_connection(a.model, a.tolerance), a.r_forms))
+    ric_lc = _from_ricci("ric_lc")
+    ric_gamma = _from_ricci("ric_gamma")
+    ricci_relation_residual = _from_ricci("relation_residual")
+    dT = _from_ricci("dT")
+    star_d_star_T = _from_ricci("star_d_star_T")
+    codifferential_zero = _from_ricci("codifferential_zero")
+    ric_gamma_symmetric = _from_ricci("ric_gamma_symmetric")
 
-    def _shared_stage(self, stage, build, *args):
-        value = self._shared.get(stage)
-        if value is None:
-            value = self._shared[stage] = build(*args)
-        return value
 
-    @property
-    def levi_civita(self):
-        """The Levi-Civita connection of a base model."""
-        return self._shared_stage("levi_civita", levi_civita, self.model)
-
-    @property
-    def split(self):
-        """The Levi-Civita connection split into a group-valued part, skew
-        torsion and a remainder."""
-        return self._shared_stage("split", split_connection, self.levi_civita)
-
-    @property
-    def lc_riemann(self):
-        """The Riemann tensor of the Levi-Civita connection."""
-        return self._shared_stage("lc_riemann", _lc_riemann, self.model,
-                                  self.levi_civita)
-
-    @property
-    def bundle_torsion(self):
-        """(T_ijk, skew residual) of a bundle model's declared connection."""
-        return self._shared_stage("bundle_torsion", _bundle_torsion_tensor,
-                                  self.model)
-
-    @property
-    def curvature(self):
-        """(r_forms, K) of the characteristic connection."""
-        kept = self.kept("curvature")
-        if kept is not None:
-            return kept
-        gamma, _T = characteristic_connection(self.model, self.tol)
-        return self.keep("curvature", curvature(self.model, gamma))
+def build_report(model: CoframeModel, tol=DEFAULT_TOL) -> Analysis:
+    """The report of a model at a tolerance: Analysis(model, tol), whose
+    fields are computed on first read."""
+    return Analysis(model, tol)

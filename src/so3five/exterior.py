@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from weakref import WeakValueDictionary
 
 from .scalar import DEFAULT_TOL, Scalar, scalar
 
@@ -233,7 +234,16 @@ class CoframeModel:
                         raise ModelError(f"connection index {ix} out of range")
         self.connection_spec = conn
 
-        self._d_cache = {}
+        # the terms of each d(theta^i), not Forms: a Form points at its
+        # model, and a model that held one would be a reference cycle
+        self._d_terms = {i: Form(self, 2, [((b, c), co) for co, b, c in
+                                           table.get(i, [])]).terms
+                         for i in range(1, self.dim + 1)}
+        # derived data, filled by connection.Analysis: the stages that read
+        # only the structure constants, and the analyses by tolerance, held
+        # weakly because their forms point back at the model
+        self.stages = {}
+        self.analyses = WeakValueDictionary()
         if check:
             bad = self.jacobi_residuals(tol)
             if bad:
@@ -260,12 +270,7 @@ class CoframeModel:
         return self.basis(1, 2, 3, 4, 5)
 
     def d_of(self, i: int) -> Form:
-        cached = self._d_cache.get(i)
-        if cached is None:
-            cached = Form(self, 2, [((b, c), co) for co, b, c in
-                                    self.d_table.get(i, [])])
-            self._d_cache[i] = cached
-        return cached
+        return Form(self, 2, self._d_terms.get(i))
 
     def gamma(self, which: int) -> Form:
         """Declared connection 1-form (1, 2 or 3)."""
@@ -450,7 +455,7 @@ def ext_d(a: Form) -> Form:
         for pos, leg in enumerate(key):
             if leg > model.dim:
                 continue
-            for (b, c), dco in model.d_of(leg).terms.items():
+            for (b, c), dco in model._d_terms[leg].items():
                 merged, s = sort_indices((b, c) + key[:pos] + key[pos + 1:])
                 if s == 0:
                     continue

@@ -251,9 +251,6 @@ class ConnTensor:
     def to_vector(self):
         return [self.x[a][b][k] for a, b in PAIRS for k in range(N)]
 
-    def slot_matrix(self, k):
-        return Tensor2([[self.x[i][j][k] for j in range(N)] for i in range(N)])
-
     def __add__(self, other):
         obj = ConnTensor.__new__(ConnTensor)
         obj.x = [[[self.x[i][j][k] + other.x[i][j][k] for k in range(N)]
@@ -355,22 +352,6 @@ class CurvTensor:
         """k_jl = K_ijil."""
         return Tensor2([[sum((self.x[i][j][i][l] for i in range(N)), Scalar(0))
                          for l in range(N)] for j in range(N)])
-
-    def so3_coefficients(self):
-        """Project the (ij) slot onto the so(3) basis: three 2-form matrices."""
-        E = E_matrices()
-        out = []
-        for t in range(3):
-            rows = [[Scalar(0) for _ in range(N)] for _ in range(N)]
-            for k in range(N):
-                for l in range(N):
-                    acc = Scalar(0)
-                    for i in range(N):
-                        for j in range(N):
-                            acc = acc + E[t][i][j] * self.x[i][j][k][l]
-                    rows[k][l] = acc * scalar(Fraction(1, 10))
-            out.append(Tensor2(rows))
-        return out
 
     def so3_violation(self):
         """Residual of the (ij) slot outside Span(E_1, E_2, E_3)."""

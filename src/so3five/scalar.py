@@ -843,11 +843,3 @@ def spectral_projector(L, eigenvalues, lam):
         P = mat_mul(P, M)
         P = mat_scale((lam - mu).inverse(), P)
     return P
-
-
-def to_float_matrix(rows):
-    import numpy as np
-
-    if rows and rows[0] and isinstance(rows[0][0], CScalar):
-        return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
-    return np.array([[float(x) for x in row] for row in rows], dtype=float)

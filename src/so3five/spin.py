@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .connection import Analysis
+from .connection import Analysis, stage
 from .exterior import CoframeModel
 from .scalar import (
     DEFAULT_TOL,
@@ -158,6 +158,7 @@ def det_identity(coeffs):
     return W, d, predicted, (d - cscalar(predicted)).mag()
 
 
+@stage
 def spinor_obstruction(model: CoframeModel, tol: float = DEFAULT_TOL):
     """Integrability data for the constant-spinor equation.
 
@@ -167,11 +168,7 @@ def spinor_obstruction(model: CoframeModel, tol: float = DEFAULT_TOL):
     nonzero curvature coefficient rules the solution out.  The flat case
     leaves the full 4-dimensional space of constant spinors.
     """
-    analysis = Analysis(model, tol)
-    kept = analysis.kept("spinor")
-    if kept is not None:
-        return kept
-    r_forms, _K = analysis.curvature
+    r_forms, _K = Analysis(model, tol).curvature
     entries = []
     flat = True
     max_residual = 0.0
@@ -188,9 +185,9 @@ def spinor_obstruction(model: CoframeModel, tol: float = DEFAULT_TOL):
             "det": d,
             "det_predicted": predicted,
         })
-    return analysis.keep("spinor", {
+    return {
         "W": entries,
         "flat": flat,
         "solution_dim": 4 if flat else 0,
         "det_residual": max_residual,
-    })
+    }

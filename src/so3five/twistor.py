@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .connection import (
-    Analysis,
     So3Connection,
     build_report,
     characteristic_connection,
+    stage,
 )
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import kappa_forms
@@ -386,6 +386,7 @@ def _connection_terms(model: CoframeModel, gamma, tol: float) -> TwistorForm:
     return g[0] * _C[0] + g[1] * _C[1] + g[2] * _C[2]
 
 
+@stage
 def twistor_coframe(model: CoframeModel, gamma=None,
                     tol: float = DEFAULT_TOL) -> dict:
     """The displayed complex coframe and its real orthonormal version.
@@ -393,11 +394,6 @@ def twistor_coframe(model: CoframeModel, gamma=None,
     Without an explicit connection the characteristic one is used, checked
     at tol, and the result is kept in Analysis(model, tol).
     """
-    if gamma is None:
-        analysis = Analysis(model, tol)
-        kept = analysis.kept("twistor_coframe")
-        if kept is not None:
-            return kept
     dz = TwistorForm.leg(model, model.dim + 1)
     h = (dz + _connection_terms(model, gamma, tol)) * _INV_ONE_W
     s3 = sqrt3()
@@ -428,11 +424,8 @@ def twistor_coframe(model: CoframeModel, gamma=None,
 
     theta = [n1.real(), n1.imag(), n2.real(), n2.imag(), u,
              -h.imag(), h.real()]
-    out = {"omega": tautological_form(model), "h": h, "u": u,
-           "n1": n1, "n2": n2, "theta": theta}
-    if gamma is None:
-        analysis.keep("twistor_coframe", out)
-    return out
+    return {"omega": tautological_form(model), "h": h, "u": u,
+            "n1": n1, "n2": n2, "theta": theta}
 
 
 # -- metric checks ----------------------------------------------------------
@@ -545,6 +538,7 @@ def _structure_span(cf: dict, which: str):
                      f"choose one of {', '.join(STRUCTURES)}")
 
 
+@stage
 def _cr_forms(model: CoframeModel, which: str, gamma, tol: float) -> dict:
     """Each coframe member mu with its residual 6-form d(mu) ^ u ^ span.
 
@@ -552,21 +546,13 @@ def _cr_forms(model: CoframeModel, which: str, gamma, tol: float) -> dict:
     explicit connection is given) and serve both the exact residuals and
     the sampled cross-check.
     """
-    if gamma is None:
-        analysis = Analysis(model, tol)
-        kept = analysis.kept(("cr_forms", which))
-        if kept is not None:
-            return kept
     cf = twistor_coframe(model, gamma, tol)
     span = _structure_span(cf, which)
     u = cf["u"]
     wedge_all = u.wedge(span[0]).wedge(span[1]).wedge(span[2])
     names = ("transversal", "fiber", "null-1", "null-2")
-    forms = {name: (mu, mu.d().wedge(wedge_all))
-             for name, mu in zip(names, [u] + span)}
-    if gamma is None:
-        analysis.keep(("cr_forms", which), forms)
-    return forms
+    return {name: (mu, mu.d().wedge(wedge_all))
+            for name, mu in zip(names, [u] + span)}
 
 
 def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
@@ -592,9 +578,9 @@ def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
 
 
 def predicted_verdict(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
-    """Integrability forecast from torsion type and curvature content; the
-    report kept in Analysis(model, tol) is read, not built again."""
-    rep = Analysis(model, tol).kept("report") or build_report(model, tol)
+    """Integrability forecast from torsion type and curvature content: it
+    reads only those fields of the report."""
+    rep = build_report(model, tol)
     if rep.failure:
         raise ModelError(f"cannot classify: {rep.failure}")
     torsion_ok = rep.torsion_t7 is None or rep.torsion_t7.is_zero(tol)

@@ -328,26 +328,31 @@ class TestCr:
         code, _, _ = run(capsys, "cr", tor23_file, "--structure", "j5")
         assert code == 1
 
-    def test_j0_request_builds_one_report(self, capsys, monkeypatch,
+    def test_j0_request_builds_one_report(self, capsys, count_calls,
                                           tor23_file):
-        import so3five.cli as cli
-        import so3five.twistor as twistor
+        # the forecast reuses the connection that the residuals computed
+        import so3five.connection as connection
 
-        calls = []
-
-        def counting(build):
-            def wrapper(*args, **kwargs):
-                calls.append(args[0])
-                return build(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(cli, "build_report", counting(cli.build_report))
-        monkeypatch.setattr(twistor, "build_report",
-                            counting(twistor.build_report))
+        stages = ("levi_civita", "split_connection", "curvature",
+                  "torsion_type", "decompose_curvature")
+        calls = count_calls(connection, stages)
         code, out, _ = run(capsys, "cr", tor23_file, "--json")
         assert code == 0
         assert json.loads(out)["prediction_matches"] is True
-        assert len(calls) == 1
+        assert calls == dict.fromkeys(stages, 1)
+
+    @pytest.mark.parametrize("structure, computed", [
+        ("jm", {}), ("j0", {"decompose_curvature": 1})])
+    def test_cr_computes_only_what_it_prints(self, capsys, count_calls,
+                                             tor23_file, structure, computed):
+        import so3five.connection as connection
+
+        calls = count_calls(connection, ("ricci", "_lc_riemann",
+                                         "bianchi_check",
+                                         "decompose_curvature"))
+        code, _, _ = run(capsys, "cr", tor23_file, "--structure", structure)
+        assert code == 0
+        assert calls == computed
 
 
 class TestOneAnalysis:
@@ -433,7 +438,8 @@ def assert_pinned_selftest(out, pinned):
 
 
 def count_coframe_builds(monkeypatch):
-    """Record each twistor_coframe call that misses the kept coframe."""
+    """Record each twistor_coframe call that misses the coframe kept in
+    the analysis."""
     import so3five.twistor as twistor
     from so3five.connection import Analysis
 
@@ -447,7 +453,7 @@ def count_coframe_builds(monkeypatch):
         model, gamma, at = (call.arguments[k]
                             for k in ("model", "gamma", "tol"))
         if gamma is not None or \
-                Analysis(model, at).kept("twistor_coframe") is None:
+                ("twistor_coframe",) not in Analysis(model, at).stages:
             builds.append(model.name)
         return real(*args, **kwargs)
 
@@ -470,6 +476,19 @@ class TestSelftest:
         for k in range(1, 13):
             assert f"acceptance-{k:02d}" in out_a
         assert_pinned_selftest(out_a, "selftest_seed_7.txt")
+
+    def test_type_table_reads_only_types(self, count_calls):
+        # the torsion class and the curvature components, not the Ricci
+        # tensors or the Bianchi residuals
+        import so3five.connection as connection
+
+        from so3five.cli import _selftest_table
+        table = {name: check for name, check, _ in _selftest_table(0, 1e-9)}
+        calls = count_calls(connection, ("ricci", "_lc_riemann",
+                                         "bianchi_check",
+                                         "decompose_curvature"))
+        assert table["acceptance-07 type table"]() is True
+        assert calls == {"decompose_curvature": 6}
 
     def test_sub_machine_tolerance_flagged(self, capsys):
         code, out, _ = run(capsys, "selftest", "--tol", "1e-16")

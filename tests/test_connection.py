@@ -9,7 +9,6 @@ import pytest
 import so3five.connection as connection
 from so3five.connection import (
     Analysis,
-    GeometryReport,
     So3Connection,
     StructureError,
     bianchi_check,
@@ -404,7 +403,7 @@ def test_cartan_case2_split():
 
 def test_report_torsion_free():
     rep = build_report(torsion_free_bundle(1))
-    assert isinstance(rep, GeometryReport)
+    assert isinstance(rep, Analysis)
     assert rep.nearly_integrable
     assert rep.torsion.is_zero()
     assert rep.torsion_t3 is None
@@ -450,9 +449,7 @@ def test_wrappers_share_the_held_analysis():
     model = so3r2(2)
     analysis = Analysis(model, 1e-9)
     assert Analysis(model, 1e-9) is analysis
-    rep = build_report(model, 1e-9)
-    assert analysis.kept("report") is rep
-    assert build_report(model, 1e-9) is rep
+    assert build_report(model, 1e-9) is analysis
     assert ricci(model, 1e-9) is ricci(model, 1e-9)
     assert characteristic_connection(model, 1e-9) \
         is characteristic_connection(model, 1e-9)
@@ -472,7 +469,7 @@ def test_tolerance_stages_are_never_shared(count_calls):
     calls = count_calls(connection, ("levi_civita", "curvature"))
     model, fresh = near_tor23(), near_tor23()
     loose = Analysis(model, 1e-5)
-    assert build_report(model, 1e-5).nearly_integrable
+    assert build_report(model, 1e-5).r_forms
     held = [Analysis(m, 1e-9) for m in (model, fresh)]
     assert nearly_integrable(model, 1e-9) == nearly_integrable(fresh, 1e-9)
     assert not nearly_integrable(model, 1e-9)[0]
@@ -483,26 +480,48 @@ def test_tolerance_stages_are_never_shared(count_calls):
             characteristic_connection(m, 1e-9)
     # the Levi-Civita connection does not read the tolerance: once per model
     assert calls == {"levi_civita": 2, "curvature": 1}
-    assert build_report(model, 1e-5) is loose.kept("report")
-    assert all(a.kept("report").failure for a in held)
+    assert build_report(model, 1e-5) is loose
+    assert all(a.failure for a in held)
 
 
-def test_stages_are_freed_with_their_analysis(count_calls):
-    """The model holds its analyses weakly, so dropping the analysis frees
-    its stages at once, without the cyclic garbage collector."""
+REPORT_FIELDS = (
+    "model_name", "tolerance", "nearly_integrable", "ni_residual", "failure",
+    "torsion", "torsion_t3", "torsion_t7", "r_forms", "curvature_components",
+    "ric_lc", "ric_gamma", "ricci_relation_residual", "bianchi_residuals",
+    "dT", "star_d_star_T", "codifferential_zero", "ric_gamma_symmetric")
+
+
+def test_report_fields_are_computed_on_first_read(count_calls):
+    calls = count_calls(connection, ("ricci", "bianchi_check"))
+    rep = build_report(case2(1, 1), 1e-9)
+    assert rep.curvature_components["present"]["c15"]
+    assert not calls
+    bianchi, dT = rep.bianchi_residuals, rep.dT
+    assert rep.bianchi_residuals is bianchi and rep.dT is dT
+    assert calls == {"bianchi_check": 1, "ricci": 1}
+
+
+def test_model_is_freed_by_reference_counting():
+    """A model holds no form, and its analyses only weakly, so once the
+    caller drops the model and its report, reference counting frees the
+    model with every stage, without the cyclic garbage collector."""
     import gc
     import weakref
 
-    calls = count_calls(connection, ("bianchi_check",))
-    model = so3r2(2)
+    from so3five.catalog import tor23_model
+    from so3five.twistor import cr_residuals
+
+    gc.collect()
     gc.disable()
     try:
-        analysis = Analysis(model, 1e-9)
-        assert build_report(model, 1e-9).nearly_integrable
-        ref = weakref.ref(analysis)
-        del analysis
+        model = tor23_model(1, 0, 1, 0)
+        rep = build_report(model, 1e-9)
+        assert all(getattr(rep, f) is not None for f in REPORT_FIELDS
+                   if f != "failure")
+        assert spinor_obstruction(model, 1e-9)["solution_dim"] == 0
+        assert cr_residuals(model, "j0", tol=1e-9)["integrable"]
+        ref = weakref.ref(model)
+        del model, rep
         assert ref() is None
     finally:
         gc.enable()
-    assert build_report(model, 1e-9).nearly_integrable
-    assert calls == {"bianchi_check": 2}

@@ -146,6 +146,7 @@ def _drop(path):
 
 
 TOR23 = ("tor23", {"rho": "1", "eps": "1", "delta": "1"})
+TOR27 = ("tor27", {"rho": "1"})
 SIX2 = ("six-dim-2", {"t1": "1", "t2": "2"})
 
 
@@ -170,6 +171,11 @@ SIX2 = ("six-dim-2", {"t1": "1", "t2": "2"})
     (TOR23, _set(("catalog", "params", "phi"), math.nan),
      "(at /catalog/params/phi)"),
     (TOR23, _set(("name",), {"x": [1]}), "(at /name)"),
+    # a rho that the catalog builders reject
+    (TOR23, _set(("catalog", "params", "rho"), "-1"),
+     "(at /catalog/params/rho)"),
+    (TOR27, _set(("catalog", "params", "rho"), "0"),
+     "(at /catalog/params/rho)"),
 ], ids=["root-not-object", "four-labels", "repeated-label",
         "d-entry-repeats-label", "d-squared-nonzero",
         "bundle-without-connection", "connection-misses-vertical-part",
@@ -177,7 +183,7 @@ SIX2 = ("six-dim-2", {"t1": "1", "t2": "2"})
         "catalog-params-not-object", "catalog-param-bad-value",
         "catalog-param-infinite",
         "catalog-param-unknown", "catalog-angle-infinite", "catalog-angle-nan",
-        "name-not-a-string"])
+        "name-not-a-string", "catalog-rho-negative", "catalog-rho-zero"])
 def test_input_error_points_at_the_fault(capsys, model_path, base, mutate,
                                          pointer):
     model_path.write_text(json.dumps(mutate(entry_json(*base))))
