@@ -361,6 +361,8 @@ def cmd_cr(args) -> int:
               "the sphere-bundle coframe needs the characteristic connection")
         return EXIT_NOT_NI
     cr_tol = max(tol, 1e-12)
+    # held, so that both calls read the CR forms it keeps
+    cr_analysis = Analysis(model, cr_tol)
     result = cr_residuals(model, args.structure, tol=cr_tol)
     sampled = cr_residuals_sampled(model, args.structure, seed=args.seed,
                                    tol=cr_tol)

@@ -22,12 +22,13 @@ from .repr import (
     CurvTensor,
     Tensor2,
     decompose_curvature,
+    form_array,
     split_connection,
     sym4_max_mag,
     torsion_type,
     upsilon_prime,
 )
-from .scalar import DEFAULT_TOL, Scalar, scalar, sqrt3
+from .scalar import DEFAULT_TOL, CScalar, Scalar, cscalar, scalar, sqrt3
 from .upsilon import E_matrices
 
 N = 5
@@ -127,7 +128,7 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
     if model.n_fiber != 0:
         raise ModelError("Levi-Civita solver needs a base model (no fiber legs)")
     d_forms = [model.d_of(i + 1) for i in range(N)]
-    c = [_dense(d) for d in d_forms]
+    c = [form_array(d) for d in d_forms]
     half = scalar(Fraction(1, 2))
     xi = ConnTensor.from_pairs({
         (i, j, k): half * (c[i][j][k] + c[j][k][i] - c[k][i][j])
@@ -159,7 +160,7 @@ def _bundle_torsion_tensor(model: CoframeModel):
             raise ModelError(
                 "declared connection does not absorb the vertical part of "
                 "d theta^%d (at /connection)" % (i + 1))
-        x.append(_dense(Ti))
+        x.append(form_array(Ti))
     skew = 0.0
     for i in range(N):
         for j in range(N):
@@ -253,7 +254,7 @@ def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
     curv = [[sum((r_forms[t] * E[t][i][j] for t in range(3)
                   if not E[t][i][j].is_zero()), model.zero(2))
              for j in range(N)] for i in range(N)]
-    dense = _dense(T)
+    dense = form_array(T)
     tors = [model.form(2, [((j + 1, k + 1), dense[i][j][k]) for j, k in PAIRS])
             for i in range(N)]
     first = 0.0
@@ -275,23 +276,6 @@ def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
     return {"first": first, "second": second}
 
 
-def _dense(form: Form):
-    """The coefficients of a 2- or 3-form on the base as a full
-    antisymmetric array, indexed from 0."""
-    zero = Scalar(0)
-    if form.degree == 2:
-        x = [[zero] * N for _ in range(N)]
-        for (a, b), v in form.terms.items():
-            x[a - 1][b - 1], x[b - 1][a - 1] = v, -v
-        return x
-    x = [[[zero] * N for _ in range(N)] for _ in range(N)]
-    for (a, b, c), v in form.terms.items():
-        a, b, c = a - 1, b - 1, c - 1
-        x[a][b][c] = x[b][c][a] = x[c][a][b] = v
-        x[b][a][c] = x[a][c][b] = x[c][b][a] = -v
-    return x
-
-
 # -- Ricci tensors ----------------------------------------------------------
 
 
@@ -308,7 +292,7 @@ def _lc_riemann(model: CoframeModel, xi: ConnTensor = None):
             f = ext_d(gamma_forms[i][j])
             for k in range(N):
                 f = f + wedge(gamma_forms[i][k], gamma_forms[k][j])
-            R[i][j] = _dense(f)
+            R[i][j] = form_array(f)
     return CurvTensor(R)
 
 
@@ -319,7 +303,7 @@ def ricci(model: CoframeModel, tol=DEFAULT_TOL):
     gamma, T = characteristic_connection(model, tol)
     r_forms, K = analysis.curvature
     ric_gamma = K.ricci()
-    dense = _dense(T)
+    dense = form_array(T)
     quarter = scalar(Fraction(1, 4))
     t_sq = Tensor2([[sum((dense[i][k][l] * dense[j][k][l]
                           for k in range(N) for l in range(N)), Scalar(0))
@@ -413,36 +397,29 @@ def weyl(model: CoframeModel, tol=DEFAULT_TOL):
 # -- the complex 3x3 Cartan connection --------------------------------------
 
 
-class CForm:
-    """A complex-valued form: a pair of real forms."""
+class CForm(Form):
+    """An exterior form with complex coefficients on a base model."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ()
 
-    def __init__(self, re: Form, im: Form):
-        self.re = re
-        self.im = im
+    ring = staticmethod(cscalar)
 
-    def __add__(self, other):
-        return CForm(self.re + other.re, self.im + other.im)
+    @classmethod
+    def of(cls, re: Form, im: Form) -> "CForm":
+        """The form re + i im of two real forms of one degree."""
+        return cls(re.model, re.degree,
+                   {k: CScalar(re.coeff(k), im.coeff(k))
+                    for k in {**re.terms, **im.terms}})
 
-    def __sub__(self, other):
-        return CForm(self.re - other.re, self.im - other.im)
+    @property
+    def re(self) -> Form:
+        return Form(self.model, self.degree,
+                    {k: v.re for k, v in self.terms.items()})
 
-    def __neg__(self):
-        return CForm(-self.re, -self.im)
-
-    def d(self):
-        return CForm(ext_d(self.re), ext_d(self.im))
-
-    def wedge(self, other):
-        return CForm(wedge(self.re, other.re) - wedge(self.im, other.im),
-                     wedge(self.re, other.im) + wedge(self.im, other.re))
-
-    def is_zero(self, tol=DEFAULT_TOL):
-        return self.re.is_zero(tol) and self.im.is_zero(tol)
-
-    def max_mag(self):
-        return max(self.re.max_coeff_mag(), self.im.max_coeff_mag())
+    @property
+    def im(self) -> Form:
+        return Form(self.model, self.degree,
+                    {k: v.im for k, v in self.terms.items()})
 
 
 def cartan_su3(model: CoframeModel, gamma: So3Connection, tol=DEFAULT_TOL):
@@ -458,40 +435,43 @@ def cartan_su3(model: CoframeModel, gamma: So3Connection, tol=DEFAULT_TOL):
     z1 = model.zero(1)
     inv_sqrt3 = sqrt3() * scalar(Fraction(1, 3))
     d1 = th[0] * inv_sqrt3
-    G = [
-        [CForm(z1, d1 - th[3]), CForm(g3, th[1]), CForm(g2, th[2])],
-        [CForm(-g3, th[1]), CForm(z1, d1 + th[3]), CForm(g1, th[4])],
-        [CForm(-g2, th[2]), CForm(-g1, th[4]), CForm(z1, -(d1 + d1))],
-    ]
+    G = [[CForm.of(re, im) for re, im in row] for row in (
+        [(z1, d1 - th[3]), (g3, th[1]), (g2, th[2])],
+        [(-g3, th[1]), (z1, d1 + th[3]), (g1, th[4])],
+        [(-g2, th[2]), (-g1, th[4]), (z1, -(d1 + d1))],
+    )]
     omega = [[None] * 3 for _ in range(3)]
     for a in range(3):
         for b in range(3):
-            acc = G[a][b].d()
+            acc = ext_d(G[a][b])
             for c in range(3):
-                acc = acc + G[a][c].wedge(G[c][b])
+                acc = acc + wedge(G[a][c], G[c][b])
             omega[a][b] = acc
+    re = [[omega[a][b].re for b in range(3)] for a in range(3)]
+    im = [[omega[a][b].im for b in range(3)] for a in range(3)]
     # real part must fit the antisymmetric pattern, imaginary the symmetric one
     pattern = 0.0
     for a in range(3):
-        pattern = max(pattern, omega[a][a].re.max_coeff_mag())
+        pattern = max(pattern, re[a][a].max_coeff_mag())
         for b in range(a + 1, 3):
-            pattern = max(pattern, (omega[a][b].re + omega[b][a].re).max_coeff_mag())
-            pattern = max(pattern, (omega[a][b].im - omega[b][a].im).max_coeff_mag())
-    trace_im = omega[0][0].im + omega[1][1].im + omega[2][2].im
+            pattern = max(pattern, (re[a][b] + re[b][a]).max_coeff_mag())
+            pattern = max(pattern, (im[a][b] - im[b][a]).max_coeff_mag())
+    trace_im = im[0][0] + im[1][1] + im[2][2]
     pattern = max(pattern, trace_im.max_coeff_mag())
-    r_shift = [omega[1][2].re, omega[0][2].re, omega[0][1].re]
+    r_shift = [re[1][2], re[0][2], re[0][1]]
     half = scalar(Fraction(1, 2))
-    t1 = (omega[0][0].im + omega[1][1].im) * (sqrt3() * half)
-    t4 = (omega[1][1].im - omega[0][0].im) * half
-    torsion_forms = [t1, omega[0][1].im, omega[0][2].im, t4, omega[1][2].im]
+    t1 = (im[0][0] + im[1][1]) * (sqrt3() * half)
+    t4 = (im[1][1] - im[0][0]) * half
+    torsion_forms = [t1, im[0][1], im[0][2], t4, im[1][2]]
     bianchi = 0.0
     for a in range(3):
         for b in range(3):
-            acc = omega[a][b].d()
+            acc = ext_d(omega[a][b])
             for c in range(3):
-                acc = acc + G[a][c].wedge(omega[c][b])
-                acc = acc - omega[a][c].wedge(G[c][b])
-            bianchi = max(bianchi, acc.max_mag())
+                acc = acc + wedge(G[a][c], omega[c][b])
+                acc = acc - wedge(omega[a][c], G[c][b])
+            bianchi = max(bianchi, acc.re.max_coeff_mag(),
+                          acc.im.max_coeff_mag())
     omega_zero = all(omega[a][b].is_zero(tol) for a in range(3) for b in range(3))
     return {
         "gamma_cartan": G,

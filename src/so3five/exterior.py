@@ -10,14 +10,14 @@ geometry.
 
 This module owns the one exterior-form engine.  Forms are dictionaries from
 strictly increasing index tuples to coefficients, Scalars here; all indices
-are 1-based.  twistor.TwistorForm extends the engine with fiber-function
-coefficients and the dz, dzbar legs.  The Hodge star is taken in a given top
-dimension, the 5-dimensional base by default, and refuses legs above it.
+are 1-based.  connection.CForm runs the engine over complex coefficients, and
+twistor.TwistorForm over fiber functions with the dz, dzbar legs.  The Hodge
+star is taken in a given top dimension, the 5-dimensional base by default,
+and refuses legs above it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from weakref import WeakValueDictionary
 
@@ -156,9 +156,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, c):
-        return self * scalar(c).inverse()
-
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
@@ -226,9 +223,8 @@ class CoframeModel:
         if connection is not None:
             conn = {}
             for which in (1, 2, 3):
-                entries = connection.get(which) or connection.get(str(which)) \
-                    or connection.get(f"g{which}") or []
-                conn[which] = [(scalar(co), int(ix)) for co, ix in entries]
+                conn[which] = [(scalar(co), int(ix))
+                               for co, ix in connection.get(which, [])]
                 for _, ix in conn[which]:
                     if not 1 <= ix <= self.dim:
                         raise ModelError(f"connection index {ix} out of range")
@@ -262,12 +258,6 @@ class CoframeModel:
 
     def zero(self, degree: int) -> Form:
         return Form(self, degree)
-
-    def scalar_form(self, c) -> Form:
-        return Form(self, 0, {(): scalar(c)})
-
-    def volume(self) -> Form:
-        return self.basis(1, 2, 3, 4, 5)
 
     def d_of(self, i: int) -> Form:
         return Form(self, 2, self._d_terms.get(i))
@@ -403,15 +393,6 @@ class CoframeModel:
 
         return cls(data["name"], d=d, n_fiber=n_fiber, labels=labels,
                    connection=conn, check=check, tol=tol)
-
-    @classmethod
-    def load(cls, path: str, check: bool = True) -> "CoframeModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ModelError(f"not valid JSON: {e}") from None
-        return cls.from_json(data, check=check)
 
     def __repr__(self):
         return f"CoframeModel({self.name!r}, dim={self.dim})"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .exterior import Form, hodge_star
+from .exterior import Form, hodge_star, sort_indices
 from .scalar import DEFAULT_TOL, Scalar, dot, rref, scalar
 from .upsilon import E_matrices, standard_upsilon
 
@@ -24,18 +24,7 @@ TRIPLES = list(combinations(range(N), 3))
 QUADS = list(combinations(range(N), 4))
 SYM4_KEYS = list(combinations_with_replacement(range(N), 4))
 
-HAT_EIGENVALUES = {"c1": 14, "c3": 7, "c7": -8, "c5": -3, "c9": 4}
 COMPONENT_DIMS = {"c1": 1, "c3": 3, "c7": 7, "c5": 5, "c9": 9}
-
-
-def _perm_sign(seq):
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
 
 
 @lru_cache(maxsize=1)
@@ -77,7 +66,44 @@ def _e_support():
              for j in range(N)] for i in range(N)]
 
 
-class Tensor2:
+def form_array(form: Form):
+    """The coefficients of a 2- or 3-form on the base as a full
+    antisymmetric array, indexed from 0."""
+    zero = Scalar(0)
+    if form.degree == 2:
+        x = [[zero] * N for _ in range(N)]
+        for (a, b), v in form.terms.items():
+            x[a - 1][b - 1], x[b - 1][a - 1] = v, -v
+        return x
+    x = [[[zero] * N for _ in range(N)] for _ in range(N)]
+    for (a, b, c), v in form.terms.items():
+        a, b, c = a - 1, b - 1, c - 1
+        x[a][b][c] = x[b][c][a] = x[c][a][b] = v
+        x[b][a][c] = x[a][c][b] = x[c][b][a] = -v
+    return x
+
+
+class _Dense:
+    """Norm, exactness, zero test and largest magnitude over the entries of
+    a dense tensor, in index order."""
+
+    __slots__ = ()
+
+    def norm_sq(self):
+        return sum((v * v for v in self.entries()), Scalar(0))
+
+    @property
+    def is_exact(self):
+        return all(v.is_exact for v in self.entries())
+
+    def is_zero(self, tol=DEFAULT_TOL):
+        return all(v.is_zero(tol) for v in self.entries())
+
+    def max_mag(self):
+        return max(abs(float(v)) for v in self.entries())
+
+
+class Tensor2(_Dense):
     """Dense element of the 25-dimensional space of two-tensors on R^5."""
 
     __slots__ = ("m",)
@@ -107,11 +133,7 @@ class Tensor2:
             raise ValueError("need a 2-form")
         if f.has_fiber_legs():
             raise ValueError("need a base 2-form")
-        rows = [[Scalar(0) for _ in range(N)] for _ in range(N)]
-        for (a, b), v in f.terms.items():
-            rows[a - 1][b - 1] = v
-            rows[b - 1][a - 1] = -v
-        return cls(rows)
+        return cls(form_array(f))
 
     def to_form(self, model):
         for i in range(N):
@@ -128,9 +150,6 @@ class Tensor2:
     def __sub__(self, other):
         return Tensor2([[a - b for a, b in zip(r1, r2)]
                         for r1, r2 in zip(self.m, other.m)])
-
-    def __neg__(self):
-        return Tensor2([[-a for a in row] for row in self.m])
 
     def scale(self, c):
         c = scalar(c)
@@ -170,24 +189,14 @@ class Tensor2:
                 acc = acc + self.m[i][j] * other.m[i][j]
         return acc
 
-    def norm_sq(self):
-        return self.inner(self)
-
-    @property
-    def is_exact(self):
-        return all(e.is_exact for row in self.m for e in row)
-
-    def is_zero(self, tol=DEFAULT_TOL):
-        return all(e.is_zero(tol) for row in self.m for e in row)
-
-    def max_mag(self):
-        return max(abs(float(e)) for row in self.m for e in row)
+    def entries(self):
+        return (e for row in self.m for e in row)
 
     def __repr__(self):
         return "Tensor2(%r)" % (self.m,)
 
 
-class ConnTensor:
+class ConnTensor(_Dense):
     """Element of Lambda^2 R^5 (x) R^5: xi_ijk with xi_ijk = -xi_jik."""
 
     __slots__ = ("x",)
@@ -270,35 +279,11 @@ class ConnTensor:
                   for j in range(N)] for i in range(N)]
         return obj
 
-    def norm_sq(self):
-        acc = Scalar(0)
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    acc = acc + self.x[i][j][k] * self.x[i][j][k]
-        return acc
-
-    def is_zero(self, tol=DEFAULT_TOL):
-        return all(self.x[i][j][k].is_zero(tol)
-                   for i in range(N) for j in range(N) for k in range(N))
-
-    @property
-    def is_exact(self):
-        return all(self.x[i][j][k].is_exact
-                   for i in range(N) for j in range(N) for k in range(N))
-
-    def max_mag(self):
-        return max(abs(float(self.x[i][j][k]))
-                   for i in range(N) for j in range(N) for k in range(N))
+    def entries(self):
+        return (v for plane in self.x for row in plane for v in row)
 
 
-def _perm_sign_of(p, base):
-    """Sign of the permutation taking base to p (both tuples of distinct items)."""
-    order = [base.index(t) for t in p]
-    return _perm_sign(order)
-
-
-class CurvTensor:
+class CurvTensor(_Dense):
     """Curvature tensor K_ijkl, antisymmetric in (ij) and in (kl)."""
 
     __slots__ = ("x",)
@@ -353,21 +338,6 @@ class CurvTensor:
         return Tensor2([[sum((self.x[i][j][i][l] for i in range(N)), Scalar(0))
                          for l in range(N)] for j in range(N)])
 
-    def so3_violation(self):
-        """Residual of the (ij) slot outside Span(E_1, E_2, E_3)."""
-        E = E_matrices()
-        worst = 0.0
-        for k in range(N):
-            for l in range(N):
-                M = Tensor2([[self.x[i][j][k][l] for j in range(N)]
-                             for i in range(N)])
-                inside = Tensor2.zero()
-                for t in range(3):
-                    coef = M.inner(Tensor2(E[t])) * scalar(Fraction(1, 10))
-                    inside = inside + Tensor2(E[t]).scale(coef)
-                worst = max(worst, (M - inside).max_mag())
-        return worst
-
     def total_antisym_dual(self):
         """The totally antisymmetric part, star-dualized to a covector."""
         out = [Scalar(0)] * N
@@ -375,37 +345,16 @@ class CurvTensor:
             acc = Scalar(0)
             for p in permutations(range(4)):
                 idx = tuple(q[t] for t in p)
-                acc = acc + scalar(_perm_sign(p)) * \
+                acc = acc + scalar(sort_indices(p)[1]) * \
                     self.x[idx[0]][idx[1]][idx[2]][idx[3]]
             a = acc * scalar(Fraction(1, 24))
             m = next(t for t in range(N) if t not in q)
-            out[m] = scalar(_perm_sign(q + (m,))) * a
+            out[m] = scalar(sort_indices(q + (m,))[1]) * a
         return out
 
-    def norm_sq(self):
-        acc = Scalar(0)
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    for l in range(N):
-                        acc = acc + self.x[i][j][k][l] * self.x[i][j][k][l]
-        return acc
-
-    @property
-    def is_exact(self):
-        return all(self.x[i][j][k][l].is_exact
-                   for i in range(N) for j in range(N)
-                   for k in range(N) for l in range(N))
-
-    def is_zero(self, tol=DEFAULT_TOL):
-        return all(self.x[i][j][k][l].is_zero(tol)
-                   for i in range(N) for j in range(N)
-                   for k in range(N) for l in range(N))
-
-    def max_mag(self):
-        return max(abs(float(self.x[i][j][k][l]))
-                   for i in range(N) for j in range(N)
-                   for k in range(N) for l in range(N))
+    def entries(self):
+        return (v for block in self.x for plane in block for row in plane
+                for v in row)
 
 
 # -- the hat operator and the five-fold splitting of two-tensors -----------
@@ -557,7 +506,7 @@ def kernel_basis():
         x = [[[Scalar(0) for _ in range(N)] for _ in range(N)]
              for _ in range(N)]
         for p in permutations((a, b, c)):
-            x[p[0]][p[1]][p[2]] = scalar(_perm_sign_of(p, (a, b, c)))
+            x[p[0]][p[1]][p[2]] = scalar(sort_indices(p)[1])
         t3 = ConnTensor.__new__(ConnTensor)
         t3.x = x
         out.append(t3)
@@ -680,13 +629,3 @@ def kappa_forms(model):
         terms = [((i + 1, j + 1), E[i][j]) for i, j in PAIRS]
         out.append(Form(model, 2, terms))
     return out
-
-
-def product_37(F: Tensor2, G: Tensor2):
-    """The indefinite pairing on 2-forms: half the inner of hat(F) with G."""
-    return upsilon_hat(F).inner(G) * scalar(Fraction(1, 2))
-
-
-def killing_product(F: Tensor2, G: Tensor2):
-    """Negative-definite pairing matching the Lie-algebra trace form."""
-    return F.inner(G) * scalar(-3)

@@ -260,9 +260,6 @@ class Scalar:
             return _mk(-self._n, -self._m, self._d)
         return Scalar(_float=-self._f)
 
-    def __pos__(self):
-        return self
-
     def __sub__(self, other):
         o = Scalar._coerce(other)
         if o is NotImplemented:
@@ -380,7 +377,6 @@ def scalar(x) -> Scalar:
 
 
 ZERO = Scalar(0)
-ONE = Scalar(1)
 
 
 def _cmk(a, b, c, e, d):
@@ -427,6 +423,15 @@ def _cjoin(re, im):
 
 def _is_exact_zero(s):
     return s._f is None and not s._n and not s._m
+
+
+def _products(p, q, r, s):
+    """p*q + r*s with each product that has an exact-zero factor left out."""
+    if _is_exact_zero(p) or _is_exact_zero(q):
+        return ZERO if _is_exact_zero(r) or _is_exact_zero(s) else r * s
+    if _is_exact_zero(r) or _is_exact_zero(s):
+        return p * q
+    return p * q + r * s
 
 
 class CScalar:
@@ -535,6 +540,11 @@ class CScalar:
             return NotImplemented
         if self._d is None or o._d is None:
             sr, si, orr, oi = self.re, self.im, o.re, o.im
+            # a product with an exact-zero factor is left out, so that a
+            # float part cannot turn an exact part into a float
+            if _is_exact_zero(sr) or _is_exact_zero(orr):
+                return _cjoin(_products(sr, orr, -si, oi),
+                              _products(sr, oi, si, orr))
             if _is_exact_zero(si):
                 if _is_exact_zero(oi):
                     return _cjoin(sr * orr, ZERO)
@@ -576,12 +586,6 @@ class CScalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = CScalar._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
     def __eq__(self, other):
         o = other if type(other) is CScalar else CScalar._coerce(other)
         if o is NotImplemented:
@@ -618,10 +622,6 @@ def _mag(x) -> float:
     return abs(float(x))
 
 
-def _elem_is_exact(x) -> bool:
-    return x.is_exact
-
-
 def _zero_like(x):
     return CScalar(0, 0) if isinstance(x, CScalar) else Scalar(0)
 
@@ -639,7 +639,7 @@ def _matrix_scale(rows) -> float:
 
 
 def _negligible(x, scale: float, tol: float) -> bool:
-    if _elem_is_exact(x):
+    if x.is_exact:
         return x.is_zero()
     return _mag(x) <= tol * scale
 
@@ -775,16 +775,6 @@ def mat_mul(A, B):
                 acc = acc + A[i][l] * B[l][j]
             row.append(acc)
         out.append(row)
-    return out
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
     return out
 
 

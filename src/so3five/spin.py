@@ -79,9 +79,6 @@ class SpinBasis:
     def __init__(self, matrices):
         self.E = tuple(matrices)
 
-    def matrix(self, i: int):
-        return self.E[i - 1]
-
 
 @lru_cache(maxsize=1)
 def clifford_basis() -> CliffordRep:
@@ -127,14 +124,6 @@ def spin_lift(A):
         elif c.is_zero():
             continue
         out = mat_add(out, mat_scale(c * HALF, cl.product(i + 1, j + 1)))
-    return out
-
-
-def f_matrix(i: int, j: int):
-    """Antisymmetric unit matrix, 1-based indices, +1 in slot (i,j)."""
-    out = [[scalar(0) for _ in range(5)] for _ in range(5)]
-    out[i - 1][j - 1] = scalar(1)
-    out[j - 1][i - 1] = scalar(-1)
     return out
 
 

@@ -5,8 +5,9 @@ unit sphere worth of compatible 2-forms, coordinatized by one affine chart
 z.  Coefficients are quotients of polynomials in (z, zbar) by powers of
 (1 + z zbar), which is a class closed under the exterior differential, so
 all integrability residuals come out as exact polynomial identities.  The
-far chart is reached by the substitution z -> 1/z applied to input data
-(see FiberFunction.invert_chart), not by a second chart inside the types.
+chart misses one point of each fiber sphere; a residual that vanishes
+identically on the chart vanishes there too, by continuity, so no second
+chart is built.
 """
 
 from __future__ import annotations
@@ -21,18 +22,7 @@ from .connection import (
 )
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import kappa_forms
-from .scalar import (
-    DEFAULT_TOL,
-    CScalar,
-    Scalar,
-    cscalar,
-    mat_mul,
-    nullspace,
-    rank,
-    scalar,
-    sqrt3,
-)
-from .upsilon import E_matrices, TernaryForm
+from .scalar import DEFAULT_TOL, CScalar, Scalar, cscalar, scalar, sqrt3
 
 HALF = Scalar(1) / 2
 
@@ -89,8 +79,8 @@ class FiberFunction:
 
     def _aligned(self, other: "FiberFunction"):
         k = max(self.k, other.k)
-        return (_raise_denominator(self, k - self.k),
-                _raise_denominator(other, k - other.k), k)
+        return (_raise_num(self.num, k - self.k),
+                _raise_num(other.num, k - other.k), k)
 
     def __add__(self, other):
         other = _as_fiber(other)
@@ -113,12 +103,6 @@ class FiberFunction:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_fiber(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _as_fiber(other)
@@ -158,21 +142,6 @@ class FiberFunction:
                 break
             num, k = divided, k - 1
         return FiberFunction(num, k)
-
-    def invert_chart(self) -> "FiberFunction":
-        """The same function written in the far chart z -> 1/z.
-
-        Multiplying through by (z zbar)^k turns the denominator back into
-        (1 + z zbar)^k; the result stays polynomial only when no monomial
-        exponent exceeds k.
-        """
-        out = {}
-        for (p, q), c in self.num.items():
-            if p > self.k or q > self.k:
-                raise ValueError(
-                    "function leaves the polynomial class in the far chart")
-            out[(self.k - p, self.k - q)] = c
-        return FiberFunction(out, self.k)
 
     def eval(self, z: complex) -> complex:
         z = complex(z)
@@ -223,10 +192,6 @@ def _raise_num(num, times):
             nxt[key] = nxt.get(key, _czero()) + c
         out = nxt
     return out
-
-
-def _raise_denominator(f: FiberFunction, times: int):
-    return _raise_num(f.num, times) if times else dict(f.num)
 
 
 def _divide_once(num):
@@ -675,122 +640,6 @@ def quarter_identity(model: CoframeModel, gamma=None,
         "residual_opposite_orientation": res_minus,
         "consistent": res_plus == 0.0,
     }
-
-
-# -- pointwise endomorphism and null directions -----------------------------
-
-
-def _sphere_point(z):
-    """The three sphere coordinates at one chart point, exact in z."""
-    zc = _as_cpoint(z)
-    zb = zc.conjugate()
-    denom = (zc * zb + CScalar(1)).re
-    return [(zc + zb) / denom,
-            (_i() * (zb - zc)) / denom,
-            (CScalar(1) - zc * zb) / denom]
-
-
-def omega_endomorphism(z) -> list:
-    """The matrix of the sphere-parametrized 2-form at one fiber point.
-
-    z may be a complex number, a pair (re, im) of Scalar-coercible
-    values, or a CScalar.
-    """
-    b = _sphere_point(z)
-    Es = E_matrices()
-    out = [[CScalar(0) for _ in range(5)] for _ in range(5)]
-    for bi, E in zip(b, Es):
-        for r in range(5):
-            for c in range(5):
-                if not E[r][c].is_zero():
-                    out[r][c] = out[r][c] + bi * E[r][c]
-    return out
-
-
-def _as_cpoint(z) -> CScalar:
-    if isinstance(z, CScalar):
-        return z
-    if isinstance(z, complex):
-        return cscalar(z)
-    if isinstance(z, tuple):
-        return CScalar(scalar(z[0]), scalar(z[1]))
-    return CScalar(scalar(z), Scalar(0))
-
-
-def null_direction_check(z) -> dict:
-    """Eigenvalue pattern and the null property of the top eigenvector."""
-    M = omega_endomorphism(z)
-    M2 = mat_mul(M, M)
-    M4 = mat_mul(M2, M2)
-    tr2 = sum((M2[i][i] for i in range(5)), CScalar(0))
-    # annihilating polynomial x(x^2+1)(x^2+4) = x^5 + 5x^3 + 4x
-    M3 = mat_mul(M2, M)
-    M5 = mat_mul(M4, M)
-    worst = 0.0
-    for i in range(5):
-        for j in range(5):
-            val = M5[i][j] + scalar(5) * M3[i][j] + scalar(4) * M[i][j]
-            worst = max(worst, val.mag())
-    trace_residual = (tr2 + scalar(10)).mag()
-
-    shifted = [[M[i][j] - (CScalar(0, 2) if i == j else CScalar(0))
-                for j in range(5)] for i in range(5)]
-    kernel = nullspace(shifted)
-    result = {
-        "annihilator_residual": worst,
-        "trace_square_residual": trace_residual,
-        "top_eigenspace_dim": len(kernel),
-    }
-    if kernel:
-        n = kernel[0]
-        ups = TernaryForm.standard()
-        null_worst = 0.0
-        for k in range(1, 6):
-            total = CScalar(0)
-            for i in range(1, 6):
-                for j in range(1, 6):
-                    c = ups.coeff(i, j, k)
-                    if not c.is_zero():
-                        total = total + c * n[i - 1] * n[j - 1]
-            null_worst = max(null_worst, total.mag())
-        result["null_contraction_residual"] = null_worst
-    return result
-
-
-def fiber_complex_structure_residual(z) -> float:
-    """J^2 = -1 on the tangent plane of the fiber sphere at one point."""
-    b = _sphere_point(z)
-
-    def cross(x, y):
-        return [x[1] * y[2] - x[2] * y[1],
-                x[2] * y[0] - x[0] * y[2],
-                x[0] * y[1] - x[1] * y[0]]
-
-    worst = 0.0
-    basis = [[CScalar(1), CScalar(0), CScalar(0)],
-             [CScalar(0), CScalar(1), CScalar(0)],
-             [CScalar(0), CScalar(0), CScalar(1)]]
-    for e in basis:
-        dot = sum((x * y for x, y in zip(b, e)), CScalar(0))
-        tangent = [x - dot * y for x, y in zip(e, b)]
-        twice = cross(b, cross(b, tangent))
-        for got, want in zip(twice, tangent):
-            worst = max(worst, (got + want).mag())
-    return worst
-
-
-def span_rank(model: CoframeModel, z, gamma=None) -> int:
-    """Rank of (u, h, n1, n2 and conjugates) evaluated at one point."""
-    cf = twistor_coframe(model, gamma)
-    forms = [cf["u"], cf["h"], cf["h"].conjugate(), cf["n1"],
-             cf["n1"].conjugate(), cf["n2"], cf["n2"].conjugate()]
-    zc = complex(_as_cpoint(z))
-    legs = sorted({l for f in forms for key in f.terms for l in key})
-    rows = []
-    for f in forms:
-        vals = f.eval_terms(zc)
-        rows.append([cscalar(vals.get((l,), 0.0)) for l in legs])
-    return rank(rows)
 
 
 # -- float sampling fallback ------------------------------------------------

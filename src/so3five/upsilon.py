@@ -83,10 +83,6 @@ class TernaryForm:
     def coeff(self, i, j, k) -> Scalar:
         return self.entries.get(_key(i, j, k), Scalar(0))
 
-    @property
-    def is_exact(self) -> bool:
-        return all(v.is_exact for v in self.entries.values())
-
     def dense(self):
         """Full 5x5x5 nested list of Scalars."""
         out = [[[Scalar(0) for _ in range(5)] for _ in range(5)] for _ in range(5)]
@@ -123,12 +119,6 @@ class TernaryForm:
             out.append(row)
         return out
 
-    def apply(self, v, w):
-        """Y_v w as a vector."""
-        M = self.matrix_of(v)
-        w = [scalar(x) for x in w]
-        return [sum((M[i][j] * w[j] for j in range(5)), Scalar(0)) for i in range(5)]
-
     def value(self, u, v, w) -> Scalar:
         u = [scalar(x) for x in u]
         out = Scalar(0)
@@ -144,29 +134,12 @@ class TernaryForm:
 
     # -- algebra -----------------------------------------------------------
 
-    def __sub__(self, other: "TernaryForm") -> "TernaryForm":
-        out = dict(self.entries)
-        merged = TernaryForm()
-        merged.entries = out
-        for key, v in other.entries.items():
-            merged.entries[key] = merged.entries.get(key, Scalar(0)) - v
-        merged._prune()
-        return merged
-
-    def __neg__(self) -> "TernaryForm":
-        out = TernaryForm()
-        out.entries = {k: -v for k, v in self.entries.items()}
-        return out
-
     def scale(self, c) -> "TernaryForm":
         c = scalar(c)
         out = TernaryForm()
         out.entries = {k: v * c for k, v in self.entries.items()}
         out._prune()
         return out
-
-    def max_coeff_mag(self) -> float:
-        return max((abs(float(v)) for v in self.entries.values()), default=0.0)
 
     def transform(self, frame) -> "TernaryForm":
         """Coefficients in the new orthonormal frame: Y'(i,j,k) = Y(e_i,e_j,e_k),
@@ -193,27 +166,6 @@ class TernaryForm:
         f = TernaryForm()
         f.entries = out
         return f
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        rows = [[i, j, k, v.to_string()] for (i, j, k), v in
-                sorted(self.entries.items())]
-        return {"upsilon": rows}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TernaryForm":
-        if not isinstance(data, dict) or "upsilon" not in data:
-            raise ValueError("ternary form JSON must contain 'upsilon'")
-        entries = {}
-        for n, row in enumerate(data["upsilon"]):
-            if not (isinstance(row, list) and len(row) == 4):
-                raise ValueError(f"entry {n} must be [i, j, k, coef]")
-            i, j, k, co = row
-            if not (i <= j <= k):
-                raise ValueError(f"entry {n}: indices must satisfy i <= j <= k")
-            entries[(i, j, k)] = Scalar.from_string(co)
-        return cls(entries)
 
     def __repr__(self):
         return f"TernaryForm({len(self.entries)} entries)"

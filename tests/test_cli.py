@@ -355,6 +355,19 @@ class TestCr:
         assert calls == computed
 
 
+    def test_sub_machine_tolerance_builds_the_coframe_once(
+            self, capsys, count_calls, tor23_file):
+        # the residuals and the sampled check run at the clamped tolerance
+        # 1e-12, not at the 1e-16 of the command line
+        import so3five.twistor as twistor
+
+        calls = count_calls(twistor, ("_connection_terms",))
+        code, _, _ = run(capsys, "cr", tor23_file, "--structure", "jm",
+                         "--tol", "1e-16")
+        assert code == 0
+        assert calls == {"_connection_terms": 1}
+
+
 class TestOneAnalysis:
     """A command derives each geometry stage once, and the output of
     classify --json is pinned byte for byte."""

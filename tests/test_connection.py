@@ -2,6 +2,7 @@
 curvature, Ricci tensors, Bianchi residuals, Weyl, and the complex Cartan
 connection."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import so3five.connection as connection
 from so3five.connection import (
     Analysis,
+    CForm,
     So3Connection,
     StructureError,
     bianchi_check,
@@ -21,11 +23,11 @@ from so3five.connection import (
     ricci,
     weyl,
 )
+from so3five.catalog import tor23_model
 from so3five.exterior import CoframeModel, ModelError, ext_d, wedge
 from so3five.repr import PAIRS, ConnTensor, Tensor2, kappa_forms
 from so3five.scalar import Scalar, scalar, sqrt3
 from so3five.spin import spinor_obstruction
-from so3five.upsilon import E_matrices
 
 N = 5
 S3 = sqrt3()
@@ -396,6 +398,101 @@ def test_cartan_case2_split():
     assert data["r_shift_forms"][2] == kappas[2] * threehalf
     assert data["pattern_residual"] == 0.0
     assert data["bianchi_residual"] == 0.0
+
+
+# cartan_su3 on an exact model and on one whose angle makes some structure
+# constants floats, where an exact coefficient must not turn into a float
+CARTAN_PINS = {
+    (1, 0, 1, 0): {
+        "r_shift_forms": [
+            "Form((-1*sqrt3)*e1^e5 + (-1)*e2^e3 + (-1)*e4^e5)",
+            "Form((-1*sqrt3)*e1^e3 + (-1)*e2^e5 + (-1)*e3^e4)",
+            "Form((-14/3)*e2^e4 + (-7/3)*e3^e5)",
+        ],
+        "torsion_forms": [
+            "Form((-2/3*sqrt3)*e2^e4 + (-4/3*sqrt3)*e3^e5)",
+            "Form((2/3*sqrt3)*e1^e4)",
+            "Form((4/3*sqrt3)*e1^e5)",
+            "Form((-2/3*sqrt3)*e1^e2)",
+            "Form((-4/3*sqrt3)*e1^e3)",
+        ],
+    },
+    (1, 0.7, 1, 0): {
+        "r_shift_forms": [
+            "Form((-1*sqrt3)*e1^e5 + (-1)*e2^e3 + (-1)*e4^e5)",
+            "Form((-1*sqrt3)*e1^e3 + (-1)*e2^e5 + (-1)*e3^e4)",
+            "Form((-4.666666666666667)*e2^e4 + (-2.333333333333333)*e3^e5)",
+        ],
+        "torsion_forms": [
+            "Form((-1.1547005383792512)*e2^e4 + (-4/3*sqrt3)*e3^e5)",
+            "Form((1.1547005383792515)*e1^e4)",
+            "Form((2.309401076758503)*e1^e5)",
+            "Form((-1.1547005383792515)*e1^e2)",
+            "Form((-2.309401076758503)*e1^e3)",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("params", list(CARTAN_PINS), ids=["exact", "float"])
+def test_cartan_output_is_pinned(params):
+    model = tor23_model(*params)
+    gamma, _ = characteristic_connection(model)
+    data = cartan_su3(model, gamma)
+    assert data["pattern_residual"] == 0.0
+    assert data["bianchi_residual"] == 0.0
+    assert data["omega_zero"] is False
+    for key, want in CARTAN_PINS[params].items():
+        assert [repr(f) for f in data[key]] == want
+
+
+# the complex form as a pair (re, im) of real forms: the reference formulas
+# for the complex-coefficient Form
+
+
+def pair_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def pair_sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def pair_wedge(a, b):
+    return (wedge(a[0], b[0]) - wedge(a[1], b[1]),
+            wedge(a[0], b[1]) + wedge(a[1], b[0]))
+
+
+def pair_d(a):
+    return ext_d(a[0]), ext_d(a[1])
+
+
+def rand_real_form(model, degree, rng):
+    """One to four terms with coefficients p/r + q sqrt3, some of them 0."""
+    return model.form(degree, [
+        (tuple(rng.sample(range(1, 6), degree)),
+         Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                rng.randint(-2, 2))) for _ in range(rng.randint(1, 4))])
+
+
+def test_complex_form_matches_the_pair_formulas():
+    model = tor23_model(1, 0, 1, 0)
+    rng = random.Random(12)
+    checked = 0
+    for da, db in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        for _ in range(6):
+            a = tuple(rand_real_form(model, da, rng) for _ in range(2))
+            b = tuple(rand_real_form(model, db, rng) for _ in range(2))
+            A, B = CForm.of(*a), CForm.of(*b)
+            assert (A.re, A.im) == a
+            got = [(wedge(A, B), pair_wedge(a, b)), (ext_d(A), pair_d(a))]
+            if da == db:
+                got += [(A + B, pair_add(a, b)), (A - B, pair_sub(a, b))]
+            for value, (re, im) in got:
+                assert type(value) is CForm and value.is_exact
+                assert value.re == re and value.im == im
+                checked += 1
+    assert checked == 72
 
 
 # -- report assembly --------------------------------------------------------

@@ -19,8 +19,6 @@ from so3five.repr import (
     decompose_t2,
     kappa_forms,
     kernel_basis,
-    killing_product,
-    product_37,
     projector_matrices,
     split_connection,
     sym4_is_zero,
@@ -291,6 +289,22 @@ def test_torsion_type_validates_degree():
 # -- curvature decomposition -----------------------------------------------
 
 
+def so3_violation(K: CurvTensor):
+    """Residual of the (ij) slot outside Span(E_1, E_2, E_3)."""
+    E = E_matrices()
+    worst = 0.0
+    for k in range(5):
+        for l in range(5):
+            M = Tensor2([[K.x[i][j][k][l] for j in range(5)]
+                         for i in range(5)])
+            inside = Tensor2.zero()
+            for t in range(3):
+                coef = M.inner(Tensor2(E[t])) * scalar(Fraction(1, 10))
+                inside = inside + Tensor2(E[t]).scale(coef)
+            worst = max(worst, (M - inside).max_mag())
+    return worst
+
+
 def test_curvature_zero():
     out = decompose_curvature(CurvTensor.zero())
     assert not any(out["present"].values())
@@ -299,7 +313,7 @@ def test_curvature_zero():
 def test_curvature_casimir_type():
     kappa = kappa_forms(FLAT)
     K = CurvTensor.from_forms(kappa)
-    assert K.so3_violation() == 0.0
+    assert so3_violation(K) == 0.0
     k = K.ricci()
     assert k == Tensor2.metric().scale(6)
     out = decompose_curvature(K)
@@ -362,10 +376,20 @@ def test_curvature_so3_violation_detected():
         for (k, l) in ((0, 1), (1, 0)):
             x[i][j][k][l] = s * scalar(1 if k < l else -1)
     K = CurvTensor(x)
-    assert K.so3_violation() > 0.1
+    assert so3_violation(K) > 0.1
 
 
 # -- pairings --------------------------------------------------------------
+
+
+def product_37(F: Tensor2, G: Tensor2):
+    """The indefinite pairing on 2-forms: half the inner of hat(F) with G."""
+    return upsilon_hat(F).inner(G) * scalar(Fraction(1, 2))
+
+
+def killing_product(F: Tensor2, G: Tensor2):
+    """Negative-definite pairing matching the Lie-algebra trace form."""
+    return F.inner(G) * scalar(-3)
 
 
 def test_products_symmetric_and_split_orthogonal():

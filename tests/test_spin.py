@@ -25,7 +25,6 @@ from so3five.spin import (
     PAIRS,
     clifford_basis,
     det4,
-    f_matrix,
     spin_basis,
     spin_lift,
     spinor_obstruction,
@@ -43,6 +42,14 @@ def mat_is_zero(A):
 
 def commutator(A, B):
     return mat_sub(mat_mul(A, B), mat_mul(B, A))
+
+
+def f_matrix(i: int, j: int):
+    """Antisymmetric unit matrix, 1-based indices, +1 in slot (i,j)."""
+    out = [[scalar(0) for _ in range(5)] for _ in range(5)]
+    out[i - 1][j - 1] = scalar(1)
+    out[j - 1][i - 1] = scalar(-1)
+    return out
 
 
 S3 = sqrt3()

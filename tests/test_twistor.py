@@ -23,7 +23,15 @@ from so3five.exterior import (
     sort_indices,
     wedge,
 )
-from so3five.scalar import CScalar, Scalar, scalar
+from so3five.scalar import (
+    CScalar,
+    Scalar,
+    cscalar,
+    mat_mul,
+    nullspace,
+    rank,
+    scalar,
+)
 from so3five.twistor import (
     FiberFunction,
     TwistorForm,
@@ -31,20 +39,17 @@ from so3five.twistor import (
     cr_residuals_sampled,
     coframe_gram,
     derivative_sample_residual,
-    fiber_complex_structure_residual,
     g2_form,
     gram_residual,
-    null_direction_check,
     null_span_checks,
-    omega_endomorphism,
     omega_normalization,
     predicted_verdict,
     quarter_identity,
     sample_points,
-    span_rank,
     tautological_form,
     twistor_coframe,
 )
+from so3five.upsilon import E_matrices, TernaryForm
 
 
 def held(model):
@@ -127,21 +132,6 @@ class TestFiberFunction:
         f = fib({(1, 1): 1}, 1)   # w/(1+w)
         assert abs(f.eval(1) - 0.5) < 1e-15
         assert abs(f.eval(0)) == 0.0
-
-    def test_invert_chart_on_sphere_coordinates(self):
-        # the first sphere coordinate is chart-symmetric, the other two flip
-        b1 = fib({(1, 0): 1, (0, 1): 1}, 1)
-        b2 = fib({(0, 1): CScalar(0, 1), (1, 0): CScalar(0, -1)}, 1)
-        b3 = fib({(0, 0): 1, (1, 1): -1}, 1)
-        assert b1.invert_chart() == b1
-        assert b2.invert_chart() == -b2
-        assert b3.invert_chart() == -b3
-
-    def test_invert_chart_rejects_frame_twisting_coefficients(self):
-        # degree 4 over (1+w)^2 leaves the polynomial class under z -> 1/z
-        f = fib({(4, 0): 1, (0, 0): -1}, 2)
-        with pytest.raises(ValueError):
-            f.invert_chart()
 
 
 # -- the coframe ------------------------------------------------------------
@@ -401,6 +391,112 @@ class TestG2:
 # -- pointwise endomorphism and null directions -----------------------------
 
 
+def as_cpoint(z) -> CScalar:
+    """A chart point given as a number or as a pair (re, im)."""
+    if isinstance(z, tuple):
+        return CScalar(scalar(z[0]), scalar(z[1]))
+    return cscalar(z)
+
+
+def sphere_point(z):
+    """The three sphere coordinates at one chart point, exact in z."""
+    zc = as_cpoint(z)
+    zb = zc.conjugate()
+    denom = (zc * zb + CScalar(1)).re
+    return [(zc + zb) / denom,
+            (CScalar(0, 1) * (zb - zc)) / denom,
+            (CScalar(1) - zc * zb) / denom]
+
+
+def omega_endomorphism(z) -> list:
+    """The matrix of the sphere-parametrized 2-form at one fiber point."""
+    b = sphere_point(z)
+    Es = E_matrices()
+    out = [[CScalar(0) for _ in range(5)] for _ in range(5)]
+    for bi, E in zip(b, Es):
+        for r in range(5):
+            for c in range(5):
+                if not E[r][c].is_zero():
+                    out[r][c] = out[r][c] + bi * E[r][c]
+    return out
+
+
+def null_direction_check(z) -> dict:
+    """Eigenvalue pattern and the null property of the top eigenvector."""
+    M = omega_endomorphism(z)
+    M2 = mat_mul(M, M)
+    M4 = mat_mul(M2, M2)
+    tr2 = sum((M2[i][i] for i in range(5)), CScalar(0))
+    # annihilating polynomial x(x^2+1)(x^2+4) = x^5 + 5x^3 + 4x
+    M3 = mat_mul(M2, M)
+    M5 = mat_mul(M4, M)
+    worst = 0.0
+    for i in range(5):
+        for j in range(5):
+            val = M5[i][j] + scalar(5) * M3[i][j] + scalar(4) * M[i][j]
+            worst = max(worst, val.mag())
+    trace_residual = (tr2 + scalar(10)).mag()
+
+    shifted = [[M[i][j] - (CScalar(0, 2) if i == j else CScalar(0))
+                for j in range(5)] for i in range(5)]
+    kernel = nullspace(shifted)
+    result = {
+        "annihilator_residual": worst,
+        "trace_square_residual": trace_residual,
+        "top_eigenspace_dim": len(kernel),
+    }
+    if kernel:
+        n = kernel[0]
+        ups = TernaryForm.standard()
+        null_worst = 0.0
+        for k in range(1, 6):
+            total = CScalar(0)
+            for i in range(1, 6):
+                for j in range(1, 6):
+                    c = ups.coeff(i, j, k)
+                    if not c.is_zero():
+                        total = total + c * n[i - 1] * n[j - 1]
+            null_worst = max(null_worst, total.mag())
+        result["null_contraction_residual"] = null_worst
+    return result
+
+
+def fiber_complex_structure_residual(z) -> float:
+    """J^2 = -1 on the tangent plane of the fiber sphere at one point."""
+    b = sphere_point(z)
+
+    def cross(x, y):
+        return [x[1] * y[2] - x[2] * y[1],
+                x[2] * y[0] - x[0] * y[2],
+                x[0] * y[1] - x[1] * y[0]]
+
+    worst = 0.0
+    basis = [[CScalar(1), CScalar(0), CScalar(0)],
+             [CScalar(0), CScalar(1), CScalar(0)],
+             [CScalar(0), CScalar(0), CScalar(1)]]
+    for e in basis:
+        dot = sum((x * y for x, y in zip(b, e)), CScalar(0))
+        tangent = [x - dot * y for x, y in zip(e, b)]
+        twice = cross(b, cross(b, tangent))
+        for got, want in zip(twice, tangent):
+            worst = max(worst, (got + want).mag())
+    return worst
+
+
+def span_rank(model, z) -> int:
+    """Rank of (u, h, n1, n2 and conjugates) evaluated at one point."""
+    cf = twistor_coframe(model)
+    forms = [cf["u"], cf["h"], cf["h"].conjugate(), cf["n1"],
+             cf["n1"].conjugate(), cf["n2"], cf["n2"].conjugate()]
+    zc = complex(as_cpoint(z))
+    legs = sorted({l for f in forms for key in f.terms for l in key})
+    rows = []
+    for f in forms:
+        vals = f.eval_terms(zc)
+        rows.append([cscalar(vals.get((l,), 0.0)) for l in legs])
+    return rank(rows)
+
+
 class TestPointwise:
     def test_endomorphism_is_antisymmetric(self):
         M = omega_endomorphism((Fraction(1, 2), Fraction(1, 3)))
@@ -494,7 +590,7 @@ class TestSharedEngine:
         for da, db in [(0, 2), (1, 1), (1, 2), (2, 2), (2, 3)]:
             for _ in range(3):
                 a = rand_base_form(t23, da, rng) if da else \
-                    t23.scalar_form(rand_scalar(rng))
+                    t23.form(0, {(): rand_scalar(rng)})
                 b = rand_base_form(t23, db, rng)
                 assert lift(a).wedge(lift(b)) == lift(wedge(a, b))
                 assert type(wedge(lift(a), lift(b))) is TwistorForm
