@@ -261,10 +261,6 @@ def _check_phi(phi):
 # -- expected properties (test oracles, never fed back into computation) ----
 
 
-def _kappas(model):
-    return kappa_forms(model)
-
-
 def _expect_torsion_free(model, r115):
     r = scalar(r115)
     ric = _metric_scale(6 * r)
@@ -273,7 +269,7 @@ def _expect_torsion_free(model, r115):
         "ric_gamma": ric,
         "ric_lc": ric,
         "dT": model.zero(4),
-        "r_forms": [k * r for k in _kappas(model)],
+        "r_forms": [k * r for k in kappa_forms(model)],
         "K_present": frozenset() if r.is_zero() else frozenset({"c1"}),
     }
 
@@ -286,7 +282,7 @@ def _expect_six1(model, a):
         "ric_gamma": ric,
         "ric_lc": ric,
         "dT": model.zero(4),
-        "r_forms": [k * (-a * a) for k in _kappas(model)],
+        "r_forms": [k * (-a * a) for k in kappa_forms(model)],
         "K_present": frozenset() if a.is_zero() else frozenset({"c1"}),
     }
 
@@ -313,7 +309,7 @@ def _expect_six2(model, t1, t2):
         "ric_gamma": e3_squared().scale(HALF * t1 * t2),
         "ric_lc": ric_lc,
         "dT": model.form(4, [((2, 3, 4, 5), -2 * t1 * t2)]),
-        "r_forms": [zero2, zero2, _kappas(model)[2] * (-HALF * t1 * t2)],
+        "r_forms": [zero2, zero2, kappa_forms(model)[2] * (-HALF * t1 * t2)],
         "K_present": frozenset() if (t1 * t2).is_zero()
         else frozenset({"c1", "c5", "c15"}),
         "pure": _pure_line(t1, t2),
@@ -438,7 +434,7 @@ class CatalogEntry:
     params: tuple
     builder: object          # (**resolved) -> CoframeModel
     expected: object         # (model, **resolved) -> dict of oracles
-    metadata: object = None  # (**resolved) -> dict
+    metadata: object         # (**resolved) -> dict
 
 
 def _case2_metadata(t1, t2):
@@ -480,7 +476,7 @@ _register(CatalogEntry(
     summary="torsion-free family on the 8-dimensional total space",
     symmetry_dim=8,
     params=(_p_scalar("r115", 1, "curvature coefficient; sign picks the group"),),
-    builder=lambda r115: torsion_free_model(r115),
+    builder=torsion_free_model,
     expected=_expect_torsion_free,
     metadata=lambda r115: {
         "group": "SU(3)" if float(scalar(r115)) > 0 else
@@ -509,7 +505,7 @@ _register(CatalogEntry(
             _p_scalar("t2", 1, "second torsion coefficient")),
     builder=lambda t1, t2: six_dim_model(2, t1=t1, t2=t2),
     expected=_expect_six2,
-    metadata=lambda t1, t2: _case2_metadata(t1, t2),
+    metadata=_case2_metadata,
 ))
 
 _register(CatalogEntry(
@@ -550,7 +546,7 @@ _register(CatalogEntry(
             ParamSpec("phi", "float", 0.0, "angle in [0, 2*pi)"),
             ParamSpec("eps", "choice", 1, "sign parameter", (1, -1)),
             ParamSpec("delta", "choice", 0, "group selector", (0, 1))),
-    builder=lambda rho, phi, eps, delta: tor23_model(rho, phi, eps, delta),
+    builder=tor23_model,
     expected=_expect_tor23,
     metadata=lambda rho, phi, eps, delta: {
         "group": "SO(3) x Aff(1)" if delta == 0
@@ -563,7 +559,7 @@ _register(CatalogEntry(
     symmetry_dim=5,
     params=(_p_scalar("rho", 1, "positive scale", positive=True),
             ParamSpec("phi", "float", 0.0, "angle in [0, 2*pi)")),
-    builder=lambda rho, phi: tor27_model(rho, phi),
+    builder=tor27_model,
     expected=_expect_tor27,
     metadata=lambda rho, phi: {"group": "strictly 5-dimensional"},
 ))
@@ -651,17 +647,13 @@ def entry_json(name, given=None):
         "params": {k: (v.to_string() if isinstance(v, Scalar) else v)
                    for k, v in resolved.items()},
         "symmetry_dim": entry.symmetry_dim,
+        "metadata": entry.metadata(**resolved),
     }
-    if entry.metadata is not None:
-        data["catalog"]["metadata"] = entry.metadata(**resolved)
     return data
 
 
 def expected_properties(name, resolved, model):
-    entry = CATALOG[name]
-    if entry.expected is None:
-        return {}
-    return entry.expected(model, **resolved)
+    return CATALOG[name].expected(model, **resolved)
 
 
 def verify_expectations(model, expect, tol=DEFAULT_TOL):

@@ -118,10 +118,10 @@ def _form_str_from_json(fj):
                       for legs, c in fj.items())
 
 
-def _json_mat_lines(rows, indent="    "):
+def _json_mat_lines(rows):
     if rows is None:
-        return [indent + "-"]
-    return [indent + "[" + "  ".join(row) + "]" for row in rows]
+        return ["    -"]
+    return ["    [" + "  ".join(row) + "]" for row in rows]
 
 
 def _read_model(path, tol):
@@ -461,6 +461,8 @@ def _selftest_table(seed, tol):
 
     def j0_right(m, want):
         """Whether the j0 residuals and the forecast both say `want`."""
+        # held, so that both calls read one analysis when tol is cr_tol
+        analysis = Analysis(m, cr_tol)
         return cr_residuals(m, "j0", tol=cr_tol)["integrable"] == want \
             and predicted_verdict(m, tol)["integrable"] == want
 

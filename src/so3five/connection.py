@@ -76,9 +76,6 @@ class So3Connection:
                 out = out + self.gammas[t] * c
         return out
 
-    def is_zero(self, tol=DEFAULT_TOL):
-        return all(g.is_zero(tol) for g in self.gammas)
-
 
 # -- stages computed once per model and tolerance ---------------------------
 
@@ -95,8 +92,7 @@ def stage(fn):
 
     The first call computes the value; later calls return it while the
     analysis lives.  It is keyed by fn's name and its arguments other than
-    model and tol.  A call given its own connection (a gamma other than
-    None) belongs to no analysis and is computed afresh.
+    model and tol.
     """
     signature = inspect.signature(fn)
 
@@ -106,8 +102,6 @@ def stage(fn):
         call.apply_defaults()
         given = dict(call.arguments)
         model, tol = given.pop("model"), given.pop("tol")
-        if given.pop("gamma", None) is not None:
-            return fn(*call.args)
         return _once(Analysis(model, tol).stages,
                      (fn.__name__, *given.values()), fn, *call.args)
 
@@ -279,11 +273,8 @@ def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
 # -- Ricci tensors ----------------------------------------------------------
 
 
-def _lc_riemann(model: CoframeModel, xi: ConnTensor = None):
-    """Riemann tensor of the Levi-Civita connection xi (computed when not
-    given) on a base model."""
-    if xi is None:
-        xi = levi_civita(model)
+def _lc_riemann(model: CoframeModel, xi: ConnTensor):
+    """Riemann tensor of the Levi-Civita connection xi on a base model."""
     gamma_forms = [[_one_form(model, xi.x[i][j]) for j in range(N)]
                    for i in range(N)]
     R = [[None] * N for _ in range(N)]
@@ -500,18 +491,7 @@ class _Stage:
     def __get__(self, analysis, owner=None):
         if analysis is None:
             return self
-        return _once(self.store(analysis), self.name, self.build, analysis)
-
-    def store(self, analysis):
-        return analysis.stages
-
-
-class _Shared(_Stage):
-    """A stage that never reads the tolerance, kept on the model and shared
-    by all its analyses."""
-
-    def store(self, analysis):
-        return analysis.model.stages
+        return _once(analysis.stages, self.name, self.build, analysis)
 
 
 class _Field(_Stage):
@@ -535,8 +515,7 @@ class Analysis:
     The model holds its analyses weakly: the forms of a stage (torsion,
     curvature forms, the twistor coframe) point back at the model, so a
     model that held them would form a cycle, freed only by the cyclic
-    garbage collector.  The shared stages hold no form and live on the
-    model.
+    garbage collector.
     """
 
     __slots__ = ("model", "tolerance", "stages", "__weakref__")
@@ -549,18 +528,17 @@ class Analysis:
         return self
 
     # a name called in a lambda is the module function, not the attribute
-    levi_civita = _Shared(lambda a: levi_civita(a.model))
+    levi_civita = _Stage(lambda a: levi_civita(a.model))
     # the Levi-Civita connection as group part + skew torsion + remainder
-    split = _Shared(lambda a: split_connection(a.levi_civita))
-    lc_riemann = _Shared(lambda a: _lc_riemann(a.model, a.levi_civita))
+    split = _Stage(lambda a: split_connection(a.levi_civita))
+    lc_riemann = _Stage(lambda a: _lc_riemann(a.model, a.levi_civita))
     # (T_ijk, skew residual) of a bundle model's declared connection
-    bundle_torsion = _Shared(lambda a: _bundle_torsion_tensor(a.model))
+    bundle_torsion = _Stage(lambda a: _bundle_torsion_tensor(a.model))
     # (r_forms, K) of the characteristic connection
     curvature = _Stage(lambda a: curvature(
         a.model, characteristic_connection(a.model, a.tolerance)[0]))
 
     # -- the report
-    model_name = _Stage(lambda a: a.model.name)
     nearly_integrable = _Stage(
         lambda a: nearly_integrable(a.model, a.tolerance)[0])
     ni_residual = _Stage(lambda a: nearly_integrable(a.model, a.tolerance)[1])

@@ -182,7 +182,7 @@ class CoframeModel:
     so(3) connection (three 1-forms)."""
 
     def __init__(self, name: str, d=None, n_fiber: int = 0, labels=None,
-                 connection=None, check: bool = True, tol: float = DEFAULT_TOL):
+                 connection=None, tol: float = DEFAULT_TOL):
         if n_fiber not in _ALLOWED_FIBERS:
             raise ModelError(f"n_fiber must be one of {_ALLOWED_FIBERS}, got {n_fiber}")
         self.name = str(name)
@@ -235,18 +235,15 @@ class CoframeModel:
         self._d_terms = {i: Form(self, 2, [((b, c), co) for co, b, c in
                                            table.get(i, [])]).terms
                          for i in range(1, self.dim + 1)}
-        # derived data, filled by connection.Analysis: the stages that read
-        # only the structure constants, and the analyses by tolerance, held
-        # weakly because their forms point back at the model
-        self.stages = {}
+        # the connection.Analysis of each tolerance, held weakly because
+        # their forms point back at the model
         self.analyses = WeakValueDictionary()
-        if check:
-            bad = self.jacobi_residuals(tol)
-            if bad:
-                worst = ", ".join(
-                    f"d^2(theta^{i}) has {r.max_coeff_mag():.3e}" for i, r in bad)
-                raise ModelError(f"d^2 != 0: {worst} "
-                                 f"(at /d/{self.labels[bad[0][0] - 1]})")
+        bad = self.jacobi_residuals(tol)
+        if bad:
+            worst = ", ".join(
+                f"d^2(theta^{i}) has {r.max_coeff_mag():.3e}" for i, r in bad)
+            raise ModelError(f"d^2 != 0: {worst} "
+                             f"(at /d/{self.labels[bad[0][0] - 1]})")
 
     # -- form constructors -------------------------------------------------
 
@@ -310,8 +307,7 @@ class CoframeModel:
         return out
 
     @classmethod
-    def from_json(cls, data: dict, check: bool = True,
-                  tol: float = DEFAULT_TOL) -> "CoframeModel":
+    def from_json(cls, data: dict, tol: float = DEFAULT_TOL) -> "CoframeModel":
         if not isinstance(data, dict):
             raise ModelError("model JSON must be an object (at the document root)")
         for field in ("name", "labels", "d"):
@@ -392,7 +388,7 @@ class CoframeModel:
                 conn[w] = rows
 
         return cls(data["name"], d=d, n_fiber=n_fiber, labels=labels,
-                   connection=conn, check=check, tol=tol)
+                   connection=conn, tol=tol)
 
     def __repr__(self):
         return f"CoframeModel({self.name!r}, dim={self.dim})"

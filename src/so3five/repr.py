@@ -302,13 +302,6 @@ class CurvTensor(_Dense):
         self.x = x
 
     @classmethod
-    def zero(cls):
-        obj = cls.__new__(cls)
-        obj.x = [[[[Scalar(0)] * N for _ in range(N)]
-                  for _ in range(N)] for _ in range(N)]
-        return obj
-
-    @classmethod
     def from_forms(cls, r_forms):
         """K_ijkl = sum_I (E_I)_ij (r^I)_kl with plain 2-form coefficients."""
         if len(r_forms) != 3:

@@ -33,7 +33,6 @@ import math
 import os
 import re
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd
 
 DEFAULT_TOL = 1e-9
@@ -84,7 +83,6 @@ def _norm(n, m, d):
     return _mk(n, m, d)
 
 
-@total_ordering
 class Scalar:
     """One number: exact ``(n + m*sqrt3)/d`` or a float."""
 
@@ -318,25 +316,6 @@ class Scalar:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __abs__(self):
-        if self._f is not None:
-            return Scalar(_float=abs(self._f))
-        return self if self.sign() >= 0 else -self
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -346,14 +325,6 @@ class Scalar:
         if self._f is None and o._f is None:  # normal forms are unique
             return self._n == o._n and self._m == o._m and self._d == o._d
         return float(self) == float(o)
-
-    def __lt__(self, other):
-        o = Scalar._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._f is None and o._f is None:
-            return (self - o).sign() < 0
-        return float(self) < float(o)
 
     # exact and float scalars compare through float, so two exact scalars
     # can both equal one float and differ: keep unhashable
@@ -527,12 +498,6 @@ class CScalar:
         if o is NotImplemented:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = CScalar._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = other if type(other) is CScalar else CScalar._coerce(other)
@@ -788,10 +753,6 @@ def mat_sub(A, B):
 
 def mat_scale(c, A):
     return [[c * x for x in row] for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def zeros(n, like=None):

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import (
-    So3Connection,
-    build_report,
-    characteristic_connection,
-    stage,
-)
+from .connection import build_report, characteristic_connection, stage
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import kappa_forms
 from .scalar import DEFAULT_TOL, CScalar, Scalar, cscalar, scalar, sqrt3
@@ -58,10 +53,6 @@ class FiberFunction:
     @classmethod
     def const(cls, c) -> "FiberFunction":
         return cls({(0, 0): cscalar(c)})
-
-    @classmethod
-    def zero(cls) -> "FiberFunction":
-        return cls()
 
     @property
     def is_exact(self) -> bool:
@@ -277,31 +268,12 @@ class TwistorForm(Form):
     def imag(self) -> "TwistorForm":
         return (self - self.conjugate()) * CScalar(0, Fraction(-1, 2))
 
-    scale = Form.__mul__
-
     def max_norm(self) -> float:
         return max((f.reduce().max_mag() for f in self.terms.values()),
                    default=0.0)
 
     def eval_terms(self, z: complex):
         return {legs: f.eval(z) for legs, f in self.terms.items()}
-
-    def substitute(self, replacements) -> "TwistorForm":
-        """Replace 1-form legs by TwistorForms (basis change)."""
-        out = TwistorForm(self.model, self.degree)
-        for legs, f in self.terms.items():
-            factor = None
-            for leg in legs:
-                piece = replacements.get(leg)
-                if piece is None:
-                    piece = TwistorForm.leg(self.model, leg)
-                factor = piece if factor is None else factor.wedge(piece)
-            if factor is None:
-                factor = TwistorForm(self.model, 0, {(): 1})
-            for key, g in factor.terms.items():
-                out._accumulate(key, f * g)
-        out._prune()
-        return out
 
 
 # -- the coframe on the twistor space ---------------------------------------
@@ -330,7 +302,7 @@ def tautological_form(model: CoframeModel) -> TwistorForm:
     b1 = _fiber({(1, 0): 1, (0, 1): 1}, 1)
     b2 = _fiber({(0, 1): _i(), (1, 0): _i(-1)}, 1)
     b3 = _fiber({(0, 0): 1, (1, 1): -1}, 1)
-    return k1.scale(b1) + k2.scale(b2) + k3.scale(b3)
+    return k1 * b1 + k2 * b2 + k3 * b3
 
 
 def omega_normalization(model: CoframeModel) -> FiberFunction:
@@ -340,52 +312,47 @@ def omega_normalization(model: CoframeModel) -> FiberFunction:
     return top.coeff((1, 2, 3, 4, 5)).reduce()
 
 
-def _connection_terms(model: CoframeModel, gamma, tol: float) -> TwistorForm:
-    """sum_I c_I gamma^I for the characteristic connection at tol, or for
-    the given connection."""
-    if gamma is None:
-        gamma, _ = characteristic_connection(model, tol)
-    if isinstance(gamma, So3Connection):
-        gamma = gamma.gammas
-    g = [TwistorForm.lift(f) for f in gamma]
+def _connection_terms(model: CoframeModel, tol: float) -> TwistorForm:
+    """sum_I c_I gamma^I for the characteristic connection at tol."""
+    gamma, _ = characteristic_connection(model, tol)
+    g = [TwistorForm.lift(f) for f in gamma.gammas]
     return g[0] * _C[0] + g[1] * _C[1] + g[2] * _C[2]
 
 
 @stage
-def twistor_coframe(model: CoframeModel, gamma=None,
-                    tol: float = DEFAULT_TOL) -> dict:
+def twistor_coframe(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
     """The displayed complex coframe and its real orthonormal version.
 
-    Without an explicit connection the characteristic one is used, checked
-    at tol, and the result is kept in Analysis(model, tol).
+    It is built on the characteristic connection, checked at tol, and kept
+    in Analysis(model, tol).
     """
     dz = TwistorForm.leg(model, model.dim + 1)
-    h = (dz + _connection_terms(model, gamma, tol)) * _INV_ONE_W
+    h = (dz + _connection_terms(model, tol)) * _INV_ONE_W
     s3 = sqrt3()
 
     th = [TwistorForm.leg(model, i + 1) for i in range(5)]
 
-    u = (th[0].scale(_fiber({(0, 0): -1, (1, 1): 4, (2, 2): -1}, 2))
-         + th[1].scale(_fiber({(2, 0): _i(s3), (0, 2): _i(-s3)}, 2))
-         + th[2].scale(_fiber({(2, 1): -s3, (1, 2): -s3,
-                               (1, 0): s3, (0, 1): s3}, 2))
-         + th[3].scale(_fiber({(2, 0): -s3, (0, 2): -s3}, 2))
-         + th[4].scale(_fiber({(2, 1): _i(-s3), (1, 2): _i(s3),
-                               (1, 0): _i(s3), (0, 1): _i(-s3)}, 2)))
+    u = (th[0] * _fiber({(0, 0): -1, (1, 1): 4, (2, 2): -1}, 2)
+         + th[1] * _fiber({(2, 0): _i(s3), (0, 2): _i(-s3)}, 2)
+         + th[2] * _fiber({(2, 1): -s3, (1, 2): -s3,
+                           (1, 0): s3, (0, 1): s3}, 2)
+         + th[3] * _fiber({(2, 0): -s3, (0, 2): -s3}, 2)
+         + th[4] * _fiber({(2, 1): _i(-s3), (1, 2): _i(s3),
+                           (1, 0): _i(s3), (0, 1): _i(-s3)}, 2))
 
-    n1 = (th[0].scale(_fiber({(2, 1): _i(2 * s3), (1, 0): _i(-2 * s3)}, 2))
-          + th[1].scale(_fiber({(3, 0): -2, (0, 1): -2}, 2))
-          + th[2].scale(_fiber({(0, 0): _i(-1), (2, 0): _i(3),
-                                (1, 1): _i(3), (3, 1): _i(-1)}, 2))
-          + th[3].scale(_fiber({(3, 0): _i(-2), (0, 1): _i(2)}, 2))
-          + th[4].scale(_fiber({(0, 0): -1, (2, 0): -3,
-                                (1, 1): 3, (3, 1): 1}, 2)))
+    n1 = (th[0] * _fiber({(2, 1): _i(2 * s3), (1, 0): _i(-2 * s3)}, 2)
+          + th[1] * _fiber({(3, 0): -2, (0, 1): -2}, 2)
+          + th[2] * _fiber({(0, 0): _i(-1), (2, 0): _i(3),
+                            (1, 1): _i(3), (3, 1): _i(-1)}, 2)
+          + th[3] * _fiber({(3, 0): _i(-2), (0, 1): _i(2)}, 2)
+          + th[4] * _fiber({(0, 0): -1, (2, 0): -3,
+                            (1, 1): 3, (3, 1): 1}, 2))
 
-    n2 = (th[0].scale(_fiber({(2, 0): _i(2 * s3)}, 2))
-          + th[1].scale(_fiber({(4, 0): 1, (0, 0): -1}, 2))
-          + th[2].scale(_fiber({(3, 0): _i(-2), (1, 0): _i(2)}, 2))
-          + th[3].scale(_fiber({(4, 0): _i(1), (0, 0): _i(1)}, 2))
-          + th[4].scale(_fiber({(3, 0): 2, (1, 0): 2}, 2)))
+    n2 = (th[0] * _fiber({(2, 0): _i(2 * s3)}, 2)
+          + th[1] * _fiber({(4, 0): 1, (0, 0): -1}, 2)
+          + th[2] * _fiber({(3, 0): _i(-2), (1, 0): _i(2)}, 2)
+          + th[3] * _fiber({(4, 0): _i(1), (0, 0): _i(1)}, 2)
+          + th[4] * _fiber({(3, 0): 2, (1, 0): 2}, 2))
 
     theta = [n1.real(), n1.imag(), n2.real(), n2.imag(), u,
              -h.imag(), h.real()]
@@ -398,7 +365,7 @@ def twistor_coframe(model: CoframeModel, gamma=None,
 
 def _horizontal_dot(a: TwistorForm, b: TwistorForm) -> FiberFunction:
     """Complex-bilinear product of the pullback-metric components."""
-    total = FiberFunction.zero()
+    total = FiberFunction()
     for i in range(1, 6):
         total = total + a.coeff((i,)) * b.coeff((i,))
     return total.reduce()
@@ -426,17 +393,17 @@ def _horizontal_part(a: TwistorForm, covariant_dz: TwistorForm,
     model = a.model
     p = a.coeff((model.dim + 1,))
     q = a.coeff((model.dim + 2,))
-    return a - covariant_dz.scale(p) - covariant_dzb.scale(q)
+    return a - covariant_dz * p - covariant_dzb * q
 
 
-def coframe_gram(model: CoframeModel, gamma=None, tol: float = DEFAULT_TOL):
+def coframe_gram(model: CoframeModel, tol: float = DEFAULT_TOL):
     """7x7 Gram matrix of the real coframe, as reduced fiber functions.
 
     Horizontal components pair through the pulled-back metric; the fiber
     pair through the spherical metric that makes the displayed forms
     unit (the sphere of radius one half).
     """
-    cf = twistor_coframe(model, gamma, tol)
+    cf = twistor_coframe(model, tol)
     theta = cf["theta"]
     cov_dz = cf["h"] * _ONE_W
     cov_dzb = cov_dz.conjugate()
@@ -453,9 +420,8 @@ def coframe_gram(model: CoframeModel, gamma=None, tol: float = DEFAULT_TOL):
     return out
 
 
-def gram_residual(model: CoframeModel, gamma=None,
-                  tol: float = DEFAULT_TOL) -> float:
-    gram = coframe_gram(model, gamma, tol)
+def gram_residual(model: CoframeModel, tol: float = DEFAULT_TOL) -> float:
+    gram = coframe_gram(model, tol)
     worst = 0.0
     for a in range(7):
         for b in range(7):
@@ -464,9 +430,9 @@ def gram_residual(model: CoframeModel, gamma=None,
     return worst
 
 
-def null_span_checks(model: CoframeModel, gamma=None) -> dict:
+def null_span_checks(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
     """The displayed bilinear relations among u, n1, n2 and unitality."""
-    cf = twistor_coframe(model, gamma)
+    cf = twistor_coframe(model, tol)
     u, n1, n2 = cf["u"], cf["n1"], cf["n2"]
     two = FiberFunction.const(2)
     checks = {
@@ -504,14 +470,13 @@ def _structure_span(cf: dict, which: str):
 
 
 @stage
-def _cr_forms(model: CoframeModel, which: str, gamma, tol: float) -> dict:
+def _cr_forms(model: CoframeModel, which: str, tol: float) -> dict:
     """Each coframe member mu with its residual 6-form d(mu) ^ u ^ span.
 
-    The forms are kept per structure in Analysis(model, tol) (unless an
-    explicit connection is given) and serve both the exact residuals and
-    the sampled cross-check.
+    The forms are kept per structure in Analysis(model, tol) and serve both
+    the exact residuals and the sampled cross-check.
     """
-    cf = twistor_coframe(model, gamma, tol)
+    cf = twistor_coframe(model, tol)
     span = _structure_span(cf, which)
     u = cf["u"]
     wedge_all = u.wedge(span[0]).wedge(span[1]).wedge(span[2])
@@ -520,7 +485,7 @@ def _cr_forms(model: CoframeModel, which: str, gamma, tol: float) -> dict:
             for name, mu in zip(names, [u] + span)}
 
 
-def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
+def cr_residuals(model: CoframeModel, which: str = "j0",
                  tol: float = DEFAULT_TOL) -> dict:
     """The four integrability residuals of one almost CR structure.
 
@@ -532,7 +497,7 @@ def cr_residuals(model: CoframeModel, which: str = "j0", gamma=None,
     connection is checked.
     """
     residuals = {name: six.max_norm() for name, (_mu, six)
-                 in _cr_forms(model, which, gamma, tol).items()}
+                 in _cr_forms(model, which, tol).items()}
     worst = max(residuals.values())
     return {
         "structure": which,
@@ -560,16 +525,16 @@ def predicted_verdict(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
 # -- G2 structure -----------------------------------------------------------
 
 
-def g2_form(model: CoframeModel, gamma=None, tol: float = DEFAULT_TOL) -> dict:
-    """The natural 3-form, its coordinate match, and its normalization."""
-    cf = twistor_coframe(model, gamma, tol)
+def g2_form(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
+    """The natural 3-form and its match with the real coframe expression."""
+    cf = twistor_coframe(model, tol)
     u, h, n1, n2 = cf["u"], cf["h"], cf["n1"], cf["n2"]
     ihalf = FiberFunction.const(_i(Fraction(1, 2)))
     phi1 = (n1.wedge(n1.conjugate()) - n2.wedge(n2.conjugate())) \
-        .wedge(u).scale(ihalf)
+        .wedge(u) * ihalf
     phi2 = (n1.wedge(n2.conjugate()).wedge(h)
-            - n1.conjugate().wedge(n2).wedge(h.conjugate())).scale(ihalf)
-    phi3 = u.wedge(h).wedge(h.conjugate()).scale(ihalf)
+            - n1.conjugate().wedge(n2).wedge(h.conjugate())) * ihalf
+    phi3 = u.wedge(h).wedge(h.conjugate()) * ihalf
     phi = phi1 + phi2 + phi3
 
     t = cf["theta"]
@@ -586,38 +551,14 @@ def g2_form(model: CoframeModel, gamma=None, tol: float = DEFAULT_TOL) -> dict:
                  + w(t[4], t[5], t[6]))
     match_residual = (phi - phi_theta).max_norm()
 
-    result = {
+    return {
         "phi": phi,
         "match_residual": match_residual,
         "match": match_residual == 0.0,
     }
-    if model.n_fiber == 0:
-        split = _to_split_basis(phi, model, gamma, tol)
-        top = split.wedge(hodge_star(split, 7))
-        norm = top.coeff(tuple(range(1, 8))).reduce()
-        result["norm_residual"] = (norm - FiberFunction.const(7)).max_mag()
-    return result
 
 
-def _to_split_basis(tf: TwistorForm, model: CoframeModel, gamma=None,
-                    tol: float = DEFAULT_TOL):
-    """Rewrite dz, dzbar legs through the orthonormal fiber pair."""
-    if model.n_fiber != 0:
-        raise ModelError("the split basis is built over base models only")
-    conn = _connection_terms(model, gamma, tol)
-    dz, dzb = model.dim + 1, model.dim + 2
-    # dz = (1+z zbar)(fiber7 - i fiber6) - sum_I c_I gamma^I, and dzbar
-    # its conjugate; fiber6 and fiber7 take over the dz and dzbar slots
-    i_one_w = _ONE_W * _i()
-    repl_dz = (TwistorForm.leg(model, dzb, _ONE_W)
-               - TwistorForm.leg(model, dz, i_one_w)) - conn
-    repl_dzb = (TwistorForm.leg(model, dzb, _ONE_W)
-                + TwistorForm.leg(model, dz, i_one_w)) - conn.conjugate()
-    return tf.substitute({dz: repl_dz, dzb: repl_dzb})
-
-
-def quarter_identity(model: CoframeModel, gamma=None,
-                     tol: float = DEFAULT_TOL) -> dict:
+def quarter_identity(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
     """The stated quarter-normalization of the transversal 1-form.
 
     In the split basis the fiber area form wedged with the square of the
@@ -627,7 +568,7 @@ def quarter_identity(model: CoframeModel, gamma=None,
     """
     if model.n_fiber != 0:
         raise ModelError("the quarter identity check needs a base model")
-    cf = twistor_coframe(model, gamma, tol)
+    cf = twistor_coframe(model, tol)
     om = cf["omega"]
     u = cf["u"]
     eta2 = TwistorForm(model, 2, {(model.dim + 1, model.dim + 2): 1})
@@ -644,6 +585,10 @@ def quarter_identity(model: CoframeModel, gamma=None,
 
 # -- float sampling fallback ------------------------------------------------
 
+# sample points per structure, and the central-difference step
+_SAMPLES = 6
+_STEP = 1e-5
+
 
 def sample_points(seed: int, count: int):
     """Deterministic complex sample points away from the chart edge."""
@@ -654,35 +599,33 @@ def sample_points(seed: int, count: int):
             for _ in range(count)]
 
 
-def derivative_sample_residual(f: FiberFunction, z: complex,
-                               step: float = 1e-5) -> float:
+def derivative_sample_residual(f: FiberFunction, z: complex) -> float:
     """Formal Wirtinger derivative against central differences."""
     fz = f.d_z().eval(z)
-    dx = (f.eval(z + step) - f.eval(z - step)) / (2 * step)
-    dy = (f.eval(z + 1j * step) - f.eval(z - 1j * step)) / (2 * step)
+    dx = (f.eval(z + _STEP) - f.eval(z - _STEP)) / (2 * _STEP)
+    dy = (f.eval(z + 1j * _STEP) - f.eval(z - 1j * _STEP)) / (2 * _STEP)
     numeric = 0.5 * (dx - 1j * dy)
     return abs(fz - numeric)
 
 
-def cr_residuals_sampled(model: CoframeModel, which: str = "j0", gamma=None,
-                         seed: int = 0, count: int = 6,
-                         step: float = 1e-5, tol: float = DEFAULT_TOL) -> dict:
+def cr_residuals_sampled(model: CoframeModel, which: str = "j0",
+                         seed: int = 0, tol: float = DEFAULT_TOL) -> dict:
     """Numerical cross-check of the exact residuals at sampled points.
 
     The residual 6-forms are the ones cr_residuals reduces at the same
     tol, evaluated at the sample points rather than rebuilt.
     """
-    points = sample_points(seed, count)
+    points = sample_points(seed, _SAMPLES)
     worst = 0.0
     deriv_worst = 0.0
-    for mu, six in _cr_forms(model, which, gamma, tol).values():
+    for mu, six in _cr_forms(model, which, tol).values():
         for z in points:
             for val in six.eval_terms(z).values():
                 worst = max(worst, abs(val))
         for f in mu.terms.values():
             for z in points[:2]:
                 deriv_worst = max(deriv_worst,
-                                  derivative_sample_residual(f, z, step))
+                                  derivative_sample_residual(f, z))
     return {
         "structure": which,
         "max_sampled_residual": worst,

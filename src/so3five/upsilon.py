@@ -64,20 +64,6 @@ class TernaryForm:
         for k in [k for k, v in self.entries.items() if v.is_zero()]:
             del self.entries[k]
 
-    @classmethod
-    def standard(cls) -> "TernaryForm":
-        s3h = Scalar.exact(0, _HALF)  # sqrt3 / 2
-        return cls({
-            (1, 1, 1): scalar(-1),
-            (1, 2, 2): scalar(1),
-            (1, 3, 3): scalar(Fraction(-1, 2)),
-            (1, 4, 4): scalar(1),
-            (1, 5, 5): scalar(Fraction(-1, 2)),
-            (2, 3, 5): s3h,
-            (3, 3, 4): -s3h,
-            (4, 5, 5): s3h,
-        })
-
     # -- access ------------------------------------------------------------
 
     def coeff(self, i, j, k) -> Scalar:
@@ -134,13 +120,6 @@ class TernaryForm:
 
     # -- algebra -----------------------------------------------------------
 
-    def scale(self, c) -> "TernaryForm":
-        c = scalar(c)
-        out = TernaryForm()
-        out.entries = {k: v * c for k, v in self.entries.items()}
-        out._prune()
-        return out
-
     def transform(self, frame) -> "TernaryForm":
         """Coefficients in the new orthonormal frame: Y'(i,j,k) = Y(e_i,e_j,e_k),
         where frame is the list of five vectors e_i."""
@@ -172,7 +151,17 @@ class TernaryForm:
 
 
 def standard_upsilon() -> TernaryForm:
-    return TernaryForm.standard()
+    s3h = Scalar.exact(0, _HALF)  # sqrt3 / 2
+    return TernaryForm({
+        (1, 1, 1): scalar(-1),
+        (1, 2, 2): scalar(1),
+        (1, 3, 3): scalar(Fraction(-1, 2)),
+        (1, 4, 4): scalar(1),
+        (1, 5, 5): scalar(Fraction(-1, 2)),
+        (2, 3, 5): s3h,
+        (3, 3, 4): -s3h,
+        (4, 5, 5): s3h,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +214,14 @@ def char_poly(a):
 # ---------------------------------------------------------------------------
 
 
-def verify_so3_structure(y, tol: float = DEFAULT_TOL) -> dict:
+def verify_so3_structure(y: TernaryForm, tol: float = DEFAULT_TOL) -> dict:
     """Check the three defining properties of a candidate tensor.
 
-    Accepts a TernaryForm or a full 5x5x5 nested list.  Returns a report
-    with per-property flags and the largest residual seen."""
+    A TernaryForm is symmetric by construction, so the report's symmetric
+    flag is always set.  Returns a report with per-property flags and the
+    largest residual seen."""
     max_res = 0.0
-
-    if isinstance(y, TernaryForm):
-        symmetric = True
-        dense = y.dense()
-    else:
-        dense = [[[scalar(y[i][j][k]) for k in range(5)] for j in range(5)]
-                 for i in range(5)]
-        symmetric = True
-        for i in range(5):
-            for j in range(5):
-                for k in range(5):
-                    for p in ((i, k, j), (j, i, k)):
-                        r = dense[i][j][k] - dense[p[0]][p[1]][p[2]]
-                        if not r.is_zero(tol):
-                            symmetric = False
-                        max_res = max(max_res, abs(float(r)))
+    dense = y.dense()
 
     traceless = True
     for k in range(5):
@@ -275,11 +250,11 @@ def verify_so3_structure(y, tol: float = DEFAULT_TOL) -> dict:
                     max_res = max(max_res, abs(float(r)))
 
     return {
-        "symmetric": symmetric,
+        "symmetric": True,
         "traceless": traceless,
         "cubic_identity": cubic,
         "max_residual": max_res,
-        "valid": symmetric and traceless and cubic,
+        "valid": traceless and cubic,
     }
 
 
@@ -364,12 +339,15 @@ def rho_act(h, a, tol: float = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
+_RETRIES = 5  # frame adaptation attempts before a tensor counts as off-orbit
+
+
 def _float_matrix_of(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return U @ v
 
 
-def adapt_frame(y: TernaryForm, tol: float = DEFAULT_TOL, seed: int = 0,
-                retries: int = 5, e2=None) -> dict:
+def adapt_frame(y: TernaryForm, tol: float = DEFAULT_TOL,
+                seed: int = 0) -> dict:
     """Construct an orthonormal frame in which y takes the canonical
     coefficient pattern (with the positive sqrt3/2 sign).
 
@@ -379,20 +357,16 @@ def adapt_frame(y: TernaryForm, tol: float = DEFAULT_TOL, seed: int = 0,
     take e4 in the kernel, split the remaining 2-plane by the +-c
     eigenvectors, and flip (e3,e4,e5) if the trailing sign comes out
     negative.  Retries with fresh random data when a degenerate circle is
-    hit; raises ValueError when the tensor is not in the orbit."""
+    hit, _RETRIES times in all; raises ValueError when the tensor is not in
+    the orbit."""
     U = y.to_float_array()
     rng = random.Random(seed)
-    std = TernaryForm.standard().to_float_array()
+    std = standard_upsilon().to_float_array()
     last_residual = math.inf
 
-    for attempt in range(max(1, retries)):
+    for attempt in range(_RETRIES):
         try:
-            if e2 is not None and attempt == 0:
-                v = np.array([float(scalar(x)) for x in e2])
-                v = v / np.linalg.norm(v)
-            else:
-                v = _find_det_zero(U, rng)
-            frame = _frame_from_null_vector(U, v)
+            frame = _frame_from_null_vector(U, _find_det_zero(U, rng))
         except _Degenerate:
             continue
         Yp = np.einsum("lmn,il,jm,kn->ijk", U, *
@@ -421,7 +395,7 @@ def adapt_frame(y: TernaryForm, tol: float = DEFAULT_TOL, seed: int = 0,
 
     raise ValueError(
         "tensor is not in the canonical orbit: best residual "
-        f"{last_residual:.3e} after {retries} attempts "
+        f"{last_residual:.3e} after {_RETRIES} attempts "
         "(check verify_so3_structure first)")
 
 
@@ -429,7 +403,7 @@ class _Degenerate(Exception):
     pass
 
 
-def _find_det_zero(U: np.ndarray, rng: random.Random, bisect_tol: float = 1e-12):
+def _find_det_zero(U: np.ndarray, rng: random.Random):
     """Unit vector v with det(Y_v) = 0, via bisection along half a great
     circle (the determinant changes sign between v and -v)."""
     for _ in range(20):
@@ -456,7 +430,7 @@ def _find_det_zero(U: np.ndarray, rng: random.Random, bisect_tol: float = 1e-12)
         fhi = f(hi)
         if flo * fhi > 0:
             continue  # numerically flat circle; try again
-        while hi - lo > bisect_tol:
+        while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
             fm = f(mid)
             if fm == 0.0:

@@ -1,7 +1,8 @@
 """The library holds only what runs.
 
 Every public module-level function and class of so3five, and every public
-method of a public class, is named in src/ outside its own definition, or
+method and class-body attribute (such as an Analysis stage or a dataclass
+field) of a public class, is named in src/ outside its own definition, or
 in perfbench/, demos/ or tests/test_acceptance.py.  Names match by
 identifier (a method by its bare name), in code and in string constants
 such as perfbench's span targets, but not in docstrings.
@@ -38,17 +39,29 @@ def names_in(tree):
     return out
 
 
+def assigned_names(item):
+    """The names a class-body statement binds by assignment."""
+    if isinstance(item, ast.Assign):
+        return [t.id for t in item.targets if isinstance(t, ast.Name)]
+    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+        return [item.target.id]
+    return []
+
+
 def public_definitions(tree):
-    """(qualified name, node) of each public function, class and method."""
+    """(qualified name, name, node) of each public function, class, method
+    and class-body attribute."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 or node.name.startswith("_"):
             continue
-        yield node.name, node
+        yield node.name, node.name, node
         for item in node.body if isinstance(node, ast.ClassDef) else []:
-            if isinstance(item, ast.FunctionDef) \
-                    and not item.name.startswith("_"):
-                yield f"{node.name}.{item.name}", item
+            names = [item.name] if isinstance(item, ast.FunctionDef) \
+                else assigned_names(item)
+            for name in names:
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", name, item
 
 
 def test_every_public_name_is_reached():
@@ -62,8 +75,7 @@ def test_every_public_name_is_reached():
     unreached = [
         f"{module}.{qualname}"
         for module, tree in library.items()
-        for qualname, node in public_definitions(tree)
+        for qualname, name, node in public_definitions(tree)
         # uses inside the definition itself do not count
-        if not outside[node.name]
-        and in_library[node.name] == names_in(node)[node.name]]
+        if not outside[name] and in_library[name] == names_in(node)[name]]
     assert unreached == ALLOWED

@@ -24,6 +24,7 @@ from so3five.exterior import (
     wedge,
 )
 from so3five.scalar import (
+    DEFAULT_TOL,
     CScalar,
     Scalar,
     cscalar,
@@ -33,8 +34,10 @@ from so3five.scalar import (
     scalar,
 )
 from so3five.twistor import (
+    _ONE_W,
     FiberFunction,
     TwistorForm,
+    _connection_terms,
     cr_residuals,
     cr_residuals_sampled,
     coframe_gram,
@@ -49,7 +52,7 @@ from so3five.twistor import (
     tautological_form,
     twistor_coframe,
 )
-from so3five.upsilon import E_matrices, TernaryForm
+from so3five.upsilon import E_matrices, standard_upsilon
 
 
 def held(model):
@@ -191,8 +194,8 @@ class TestCoframe:
         second = cf["n1"].imag()
         duplicate = cf["n1"].imag()
         honest = cf["n2"].imag()
-        bad = FiberFunction.zero()
-        good = FiberFunction.zero()
+        bad = FiberFunction()
+        good = FiberFunction()
         for i in range(1, 6):
             bad = bad + second.coeff((i,)) * duplicate.coeff((i,))
             good = good + second.coeff((i,)) * honest.coeff((i,))
@@ -311,7 +314,7 @@ def plain_wedge(a, b):
             if sign == 0:
                 continue
             prod = fa * fb
-            out[key] = out.get(key, FiberFunction.zero()) + \
+            out[key] = out.get(key, FiberFunction()) + \
                 (prod if sign > 0 else -prod)
     return out
 
@@ -369,6 +372,41 @@ class TestResidualForms:
 # -- G2 and normalization identities ----------------------------------------
 
 
+def substitute(tf, replacements):
+    """tf with 1-form legs replaced by TwistorForms (a basis change)."""
+    model = tf.model
+    out = TwistorForm(model, tf.degree)
+    for legs, f in tf.terms.items():
+        factor = None
+        for leg in legs:
+            piece = replacements.get(leg)
+            if piece is None:
+                piece = TwistorForm.leg(model, leg)
+            factor = piece if factor is None else factor.wedge(piece)
+        if factor is None:
+            factor = TwistorForm(model, 0, {(): 1})
+        for key, g in factor.terms.items():
+            out._accumulate(key, f * g)
+    out._prune()
+    return out
+
+
+def to_split_basis(tf):
+    """Rewrite the dz, dzbar legs of a form over a base model through the
+    orthonormal fiber pair."""
+    model = tf.model
+    conn = _connection_terms(model, DEFAULT_TOL)
+    dz, dzb = model.dim + 1, model.dim + 2
+    # dz = (1+z zbar)(fiber7 - i fiber6) - sum_I c_I gamma^I, and dzbar
+    # its conjugate; fiber6 and fiber7 take over the dz and dzbar slots
+    i_one_w = _ONE_W * CScalar(0, 1)
+    repl_dz = (TwistorForm.leg(model, dzb, _ONE_W)
+               - TwistorForm.leg(model, dz, i_one_w)) - conn
+    repl_dzb = (TwistorForm.leg(model, dzb, _ONE_W)
+                + TwistorForm.leg(model, dz, i_one_w)) - conn.conjugate()
+    return substitute(tf, {dz: repl_dz, dzb: repl_dzb})
+
+
 class TestG2:
     def test_matches_real_coframe_expression(self, tf1, t23):
         for model in (tf1, t23):
@@ -377,8 +415,10 @@ class TestG2:
             assert out["match_residual"] == 0.0
 
     def test_seven_norm(self, t23):
-        out = g2_form(t23)
-        assert out["norm_residual"] == 0.0
+        split = to_split_basis(g2_form(t23)["phi"])
+        top = split.wedge(hodge_star(split, 7))
+        norm = top.coeff(tuple(range(1, 8))).reduce()
+        assert (norm - FiberFunction.const(7)).max_mag() == 0.0
 
     def test_quarter_identity(self, t23, t27):
         for model in (t23, t27, flat_char_model([1] + [0] * 9)):
@@ -447,7 +487,7 @@ def null_direction_check(z) -> dict:
     }
     if kernel:
         n = kernel[0]
-        ups = TernaryForm.standard()
+        ups = standard_upsilon()
         null_worst = 0.0
         for k in range(1, 6):
             total = CScalar(0)
@@ -544,7 +584,7 @@ class TestTwistorForm:
     def test_real_imag_decomposition(self, t23):
         cf = twistor_coframe(t23)
         n1 = cf["n1"]
-        recomposed = n1.real() + n1.imag().scale(CScalar(0, 1))
+        recomposed = n1.real() + n1.imag() * CScalar(0, 1)
         assert (recomposed - n1).is_zero()
         assert n1.real().conjugate().coeff((3,)) == n1.real().coeff((3,))
 
@@ -643,3 +683,10 @@ class TestTolerance:
             cr_residuals(model, tol=1e-9)
         with pytest.raises(StructureError):
             twistor_coframe(model, tol=1e-9)
+
+    def test_null_relations_use_the_given_tolerance(self):
+        model = near_tor23()
+        checks = null_span_checks(model, tol=1e-5)
+        assert all(v == 0.0 for v in checks.values()), checks
+        with pytest.raises(StructureError):
+            null_span_checks(model, tol=1e-9)
