@@ -13,17 +13,15 @@ chart is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .connection import build_report, characteristic_connection, stage
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import kappa_forms
-from .scalar import DEFAULT_TOL, CScalar, Scalar, cscalar, scalar, sqrt3
+from .scalar import (_SQRT3_FLOAT, DEFAULT_TOL, CScalar, Scalar, _cnorm,
+                     cscalar, sqrt3)
 
 HALF = Scalar(1) / 2
-
-
-def _czero():
-    return CScalar(0)
 
 
 # -- fiber coefficient functions --------------------------------------------
@@ -32,14 +30,19 @@ def _czero():
 class FiberFunction:
     """Quotient of a polynomial in (z, zbar) by (1 + z zbar)^k.
 
-    Monomials are keyed by (p, q) meaning z^p zbar^q with CScalar
-    coefficients.  Addition aligns denominators, multiplication adds the
-    exponents, and both Wirtinger derivatives stay inside the class by the
-    quotient rule.  reduce() divides out common (1 + z zbar) factors so
-    that zero functions have an empty numerator.
+    Monomials are keyed by (p, q) meaning z^p zbar^q.  An exact numerator
+    is held as integers over one denominator, as FLINT's fmpq_poly holds a
+    rational polynomial: each coefficient is the four integers (a, b, c, e)
+    of a + b sqrt3 + i(c + e sqrt3), all of them over the positive integer
+    den, with no factor common to den and every integer.  A numerator with
+    a float part keeps CScalar coefficients and den None.  Addition aligns
+    denominators, multiplication adds the exponents, and both Wirtinger
+    derivatives stay inside the class by the quotient rule.  reduce()
+    divides out common (1 + z zbar) factors, and zero functions have an
+    empty numerator.
     """
 
-    __slots__ = ("num", "k")
+    __slots__ = ("coefs", "den", "k")
 
     def __init__(self, num=None, k: int = 0):
         store = {}
@@ -47,7 +50,7 @@ class FiberFunction:
             c = cscalar(val)
             if not c.is_zero():
                 store[(int(key[0]), int(key[1]))] = c
-        self.num = store
+        self.coefs, self.den = _exact_parts(store)
         self.k = int(k) if store else 0
 
     @classmethod
@@ -55,39 +58,59 @@ class FiberFunction:
         return cls({(0, 0): cscalar(c)})
 
     @property
+    def num(self) -> dict:
+        """The numerator as {(p, q): CScalar}."""
+        if self.den is None:
+            return self.coefs
+        den = self.den
+        return {key: _cnorm(a, b, c, e, den)
+                for key, (a, b, c, e) in self.coefs.items()}
+
+    @property
     def is_exact(self) -> bool:
-        return all(c.is_exact for c in self.num.values())
+        return self.den is not None
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(c.is_zero(tol) for c in self.num.values())
+        if self.den is not None:
+            return not self.coefs
+        return all(c.is_zero(tol) for c in self.coefs.values())
 
     def max_mag(self) -> float:
         return max((c.mag() for c in self.num.values()), default=0.0)
 
     def conjugate(self) -> "FiberFunction":
-        return FiberFunction({(q, p): c.conjugate()
-                              for (p, q), c in self.num.items()}, self.k)
-
-    def _aligned(self, other: "FiberFunction"):
-        k = max(self.k, other.k)
-        return (_raise_num(self.num, k - self.k),
-                _raise_num(other.num, k - other.k), k)
+        if self.den is None:
+            return _fiber_of({(q, p): c.conjugate()
+                              for (p, q), c in self.coefs.items()},
+                             None, self.k)
+        return _fiber_of({(q, p): (a, b, -c, -e)
+                          for (p, q), (a, b, c, e) in self.coefs.items()},
+                         self.den, self.k)
 
     def __add__(self, other):
         other = _as_fiber(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, k = self._aligned(other)
-        out = dict(a)
-        for key, val in b.items():
-            out[key] = out.get(key, _czero()) + val
-        return FiberFunction(out, k)
+        a, b, exact = _operands(self, other)
+        den = None
+        if exact:
+            da, db = self.den, other.den
+            g = gcd(da, db)
+            a, b, den = _scaled(a, db // g), _scaled(b, da // g), da // g * db
+        add = _ring(den)[0]
+        k = max(self.k, other.k)
+        out = dict(_raise(a, k - self.k, add))
+        for key, c in _raise(b, k - other.k, add).items():
+            t = out.get(key)
+            out[key] = c if t is None else add(t, c)
+        return _normal(out, den, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FiberFunction({key: -val for key, val in self.num.items()},
-                             self.k)
+        scale = _ring(self.den)[3]
+        return _fiber_of({key: scale(c, -1) for key, c in self.coefs.items()},
+                         self.den, self.k)
 
     def __sub__(self, other):
         other = _as_fiber(other)
@@ -99,47 +122,57 @@ class FiberFunction:
         other = _as_fiber(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b, exact = _operands(self, other)
+        den = self.den * other.den if exact else None
+        add, mul = _ring(den)[:2]
+        # the convolution of the two numerators
         out = {}
-        for (p, q), a in self.num.items():
-            for (r, s), b in other.num.items():
+        for (p, q), x in a.items():
+            for (r, s), y in b.items():
                 key = (p + r, q + s)
-                out[key] = out.get(key, _czero()) + a * b
-        return FiberFunction(out, self.k + other.k)
+                t = out.get(key)
+                out[key] = mul(x, y) if t is None else add(t, mul(x, y))
+        return _normal(out, den, self.k + other.k)
 
     __rmul__ = __mul__
 
     def d_z(self) -> "FiberFunction":
         # quotient rule: (num' (1+w) - k zbar num) / (1+w)^(k+1), w = z zbar
-        dnum = {}
-        for (p, q), c in self.num.items():
-            if p:
-                key = (p - 1, q)
-                dnum[key] = dnum.get(key, _czero()) + scalar(p) * c
-        lifted = _raise_num(dnum, 1)
-        if self.k:
-            for (p, q), c in self.num.items():
+        coefs, den, k = self.coefs, self.den, self.k
+        add, _, _, scale = _ring(den)[:4]
+        lifted = _raise({(p - 1, q): scale(c, p)
+                         for (p, q), c in coefs.items() if p}, 1, add)
+        if k:
+            for (p, q), c in coefs.items():
                 key = (p, q + 1)
-                lifted[key] = lifted.get(key, _czero()) - scalar(self.k) * c
-        return FiberFunction(lifted, self.k + 1).reduce()
+                t = lifted.get(key)
+                lifted[key] = scale(c, -k) if t is None \
+                    else add(t, scale(c, -k))
+        return _normal(lifted, den, k + 1).reduce()
 
     def d_zbar(self) -> "FiberFunction":
         return self.conjugate().d_z().conjugate()
 
     def reduce(self) -> "FiberFunction":
-        num, k = dict(self.num), self.k
-        while k > 0 and num:
-            divided = _divide_once(num)
+        coefs, k = self.coefs, self.k
+        _, _, sub, _, is_zero, zero = _ring(self.den)
+        while k > 0 and coefs:
+            divided = _divide_once(coefs, sub, is_zero, zero)
             if divided is None:
                 break
-            num, k = divided, k - 1
-        return FiberFunction(num, k)
+            coefs, k = divided, k - 1
+        if k == self.k:
+            return self
+        # a float numerator can divide into exact coefficients
+        return _fiber_of(coefs, self.den, k) if self.den is not None \
+            else _normal(coefs, None, k)
 
     def eval(self, z: complex) -> complex:
         z = complex(z)
         zb = z.conjugate()
         total = 0j
-        for (p, q), c in self.num.items():
-            total += complex(c) * z ** p * zb ** q
+        for (p, q), c in _complex_items(self):
+            total += c * z ** p * zb ** q
         return total / (1 + (z * zb).real) ** self.k
 
     def __eq__(self, other):
@@ -151,7 +184,7 @@ class FiberFunction:
     __hash__ = None
 
     def __repr__(self):
-        if not self.num:
+        if not self.coefs:
             return "FiberFunction(0)"
         parts = []
         for (p, q), c in sorted(self.num.items()):
@@ -172,46 +205,151 @@ def _as_fiber(x):
         return NotImplemented
 
 
-def _raise_num(num, times):
-    """Multiply a numerator dict by (1 + z zbar)^times."""
-    out = dict(num)
+def _fiber_of(coefs, den, k):
+    """A FiberFunction from parts already in normal form."""
+    f = object.__new__(FiberFunction)
+    f.coefs, f.den, f.k = coefs, den, k
+    return f
+
+
+def _complex_items(f):
+    """((p, q), complex coefficient) in numerator order, each rounded as
+    complex(CScalar) rounds it: a correctly rounded integer quotient does
+    not depend on a common factor, so the shared denominator gives the same
+    float as each coefficient's own."""
+    if f.den is not None:
+        den = f.den
+        try:
+            return [(key, complex(a / den + b / den * _SQRT3_FLOAT,
+                                  c / den + e / den * _SQRT3_FLOAT))
+                    for key, (a, b, c, e) in f.coefs.items()]
+        except OverflowError:  # beyond the double range: Scalar gives inf
+            pass
+    return [(key, complex(c)) for key, c in f.num.items()]
+
+
+def _exact_parts(num):
+    """(coefs, den) of a numerator of nonzero CScalars: integer parts over
+    the lcm of their denominators, or the CScalars and None when one has a
+    float part."""
+    den = 1
+    for c in num.values():
+        if c._d is None:
+            return num, None
+        den = den // gcd(den, c._d) * c._d
+    # the lcm of normal forms leaves no common factor
+    return {key: (c._a * (den // c._d), c._b * (den // c._d),
+                  c._c * (den // c._d), c._e * (den // c._d))
+            for key, c in num.items()}, den
+
+
+def _normal(coefs, den, k):
+    """The FiberFunction coefs / den over (1 + z zbar)^k: zero monomials
+    left out and, on integer parts, the common factor divided out.  coefs
+    is a new dict, which this takes over."""
+    if den is None:
+        coefs, den = _exact_parts({key: c for key, c in coefs.items()
+                                   if not c.is_zero()})
+    else:
+        for key in [key for key, t in coefs.items() if not any(t)]:
+            del coefs[key]
+        g = den
+        for t in coefs.values():
+            if g == 1:
+                break
+            g = gcd(g, *t)
+        if g != 1:
+            coefs = {key: (a // g, b // g, c // g, e // g)
+                     for key, (a, b, c, e) in coefs.items()}
+            den //= g
+    if not coefs:
+        return _fiber_of({}, 1, 0)
+    return _fiber_of(coefs, den, k)
+
+
+def _operands(f, g):
+    """The numerators of f and g on one path, and whether it is the exact
+    one: integer parts when both are exact, CScalars otherwise."""
+    if f.den is not None and g.den is not None:
+        return f.coefs, g.coefs, True
+    return f.num, g.num, False
+
+
+def _scaled(coefs, n):
+    return coefs if n == 1 else {key: _qscale(t, n)
+                                 for key, t in coefs.items()}
+
+
+def _ring(den):
+    """(add, mul, sub, scale by an int, is_zero, zero) on the coefficients
+    of a numerator: integer parts when den is an int, CScalars when it is
+    None.  The CScalar operators are looked up on each call, so wrappers
+    installed on the class (perfbench counts them) see the float path."""
+    if den is None:
+        return (CScalar.__add__, CScalar.__mul__, CScalar.__sub__,
+                CScalar.__mul__, CScalar.is_zero, CScalar(0))
+    return _qadd, _qmul, _qsub, _qscale, _qzero, (0, 0, 0, 0)
+
+
+def _qadd(x, y):
+    return x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
+
+
+def _qsub(x, y):
+    return x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]
+
+
+def _qscale(x, n):
+    return n * x[0], n * x[1], n * x[2], n * x[3]
+
+
+def _qzero(x):
+    return not any(x)
+
+
+def _qmul(x, y):
+    # (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3
+    a1, b1, c1, e1 = x
+    a2, b2, c2, e2 = y
+    return (a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
+            a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+            a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
+            a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _raise(coefs, times, add):
+    """Multiply a numerator by (1 + z zbar)^times."""
     for _ in range(times):
         nxt = {}
-        for (p, q), c in out.items():
-            nxt[(p, q)] = nxt.get((p, q), _czero()) + c
-            key = (p + 1, q + 1)
-            nxt[key] = nxt.get(key, _czero()) + c
-        out = nxt
-    return out
+        for (p, q), c in coefs.items():
+            for key in ((p, q), (p + 1, q + 1)):
+                t = nxt.get(key)
+                nxt[key] = c if t is None else add(t, c)
+        coefs = nxt
+    return coefs
 
 
-def _divide_once(num):
+def _divide_once(coefs, sub, is_zero, zero):
     """Divide a numerator by (1 + z zbar) or report failure with None."""
     charges = {}
-    for (p, q), c in num.items():
+    for (p, q), c in coefs.items():
         charges.setdefault(p - q, {})[min(p, q)] = c
     out = {}
     for charge, poly in charges.items():
         top = max(poly)
         if top == 0:
             return None  # nonzero constant sector, not divisible
-        quot = {}
-        carry = _czero()
         # synthetic division by (w + 1) from the highest w-power down
-        for m in range(top, 0, -1):
-            coef = poly.get(m, _czero()) - carry if m < top \
-                else poly.get(m, _czero())
-            quot[m - 1] = coef
-            carry = coef
-        rem = poly.get(0, _czero()) - carry
-        if not rem.is_zero():
+        carry = poly[top]
+        quot = [(top - 1, carry)]
+        for m in range(top - 1, 0, -1):
+            carry = sub(poly.get(m, zero), carry)
+            quot.append((m - 1, carry))
+        if not is_zero(sub(poly.get(0, zero), carry)):
             return None
-        for m, c in quot.items():
-            if c.is_zero():
-                continue
-            p = m + charge if charge > 0 else m
-            q = m if charge > 0 else m - charge
-            out[(p, q)] = c
+        for m, c in quot:
+            if not is_zero(c):
+                out[(m + charge, m) if charge > 0 else (m, m - charge)] = c
     return out
 
 
@@ -599,13 +737,17 @@ def sample_points(seed: int, count: int):
             for _ in range(count)]
 
 
-def derivative_sample_residual(f: FiberFunction, z: complex) -> float:
-    """Formal Wirtinger derivative against central differences."""
-    fz = f.d_z().eval(z)
-    dx = (f.eval(z + _STEP) - f.eval(z - _STEP)) / (2 * _STEP)
-    dy = (f.eval(z + 1j * _STEP) - f.eval(z - 1j * _STEP)) / (2 * _STEP)
-    numeric = 0.5 * (dx - 1j * dy)
-    return abs(fz - numeric)
+def derivative_sample_residual(f: FiberFunction, points) -> float:
+    """Formal Wirtinger derivative against central differences: the
+    largest gap over the points."""
+    fz = f.d_z()
+    worst = 0.0
+    for z in points:
+        dx = (f.eval(z + _STEP) - f.eval(z - _STEP)) / (2 * _STEP)
+        dy = (f.eval(z + 1j * _STEP) - f.eval(z - 1j * _STEP)) / (2 * _STEP)
+        numeric = 0.5 * (dx - 1j * dy)
+        worst = max(worst, abs(fz.eval(z) - numeric))
+    return worst
 
 
 def cr_residuals_sampled(model: CoframeModel, which: str = "j0",
@@ -623,9 +765,8 @@ def cr_residuals_sampled(model: CoframeModel, which: str = "j0",
             for val in six.eval_terms(z).values():
                 worst = max(worst, abs(val))
         for f in mu.terms.values():
-            for z in points[:2]:
-                deriv_worst = max(deriv_worst,
-                                  derivative_sample_residual(f, z))
+            deriv_worst = max(deriv_worst,
+                              derivative_sample_residual(f, points[:2]))
     return {
         "structure": which,
         "max_sampled_residual": worst,

@@ -21,8 +21,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .scalar import (
     DEFAULT_TOL,
     Scalar,
@@ -81,6 +79,8 @@ class TernaryForm:
         return out
 
     def to_float_array(self) -> np.ndarray:
+        import numpy as np
+
         a = np.zeros((5, 5, 5))
         for (i, j, k), v in self.entries.items():
             f = float(v)
@@ -359,6 +359,8 @@ def adapt_frame(y: TernaryForm, tol: float = DEFAULT_TOL,
     negative.  Retries with fresh random data when a degenerate circle is
     hit, _RETRIES times in all; raises ValueError when the tensor is not in
     the orbit."""
+    import numpy as np
+
     U = y.to_float_array()
     rng = random.Random(seed)
     std = standard_upsilon().to_float_array()
@@ -406,6 +408,8 @@ class _Degenerate(Exception):
 def _find_det_zero(U: np.ndarray, rng: random.Random):
     """Unit vector v with det(Y_v) = 0, via bisection along half a great
     circle (the determinant changes sign between v and -v)."""
+    import numpy as np
+
     for _ in range(20):
         v = np.array([rng.gauss(0, 1) for _ in range(5)])
         n = np.linalg.norm(v)
@@ -447,6 +451,8 @@ def _find_det_zero(U: np.ndarray, rng: random.Random):
 
 
 def _frame_from_null_vector(U: np.ndarray, e2: np.ndarray):
+    import numpy as np
+
     M = _float_matrix_of(U, e2)
     vals, vecs = np.linalg.eigh(M)
     order = np.argsort(np.abs(vals))

@@ -6,7 +6,10 @@ the captured output are both visible to the assertions.
 
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -399,6 +402,23 @@ class TestOneAnalysis:
         assert code == 0
         assert out == (DATA / f"classify_{pinned}.json").read_text()
 
+    @pytest.mark.parametrize("structure", ["j0", "j0m", "jm", "jmm"])
+    @pytest.mark.parametrize("pinned, entry, params", [
+        ("tor23_rho1", "tor23", {"rho": "1", "eps": "1", "delta": "1"}),
+        ("torsion_free_r115_1", "torsion-free", {"r115": "1"}),
+    ])
+    def test_cr_json_is_pinned(self, capsys, tmp_path, pinned, entry, params,
+                               structure):
+        # the sampled residuals are float sums over the monomials of each
+        # fiber function, so the pins also fix the order of that sum
+        from so3five.catalog import entry_json
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(entry_json(entry, params)))
+        code, out, _ = run(capsys, "cr", str(path), "--structure", structure,
+                           "--json", "--tol", "1e-9")
+        assert code == 0
+        assert out == (DATA / f"cr_{structure}_{pinned}.json").read_text()
+
 
 class TestDecomposeTorsion:
     def test_pure_7_class(self, capsys, tor27_file):
@@ -574,3 +594,18 @@ class TestParser:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "classify" in out and "selftest" in out
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # only frame adaptation (selftest) uses numpy, and it imports it there
+    import so3five
+
+    pkg_root = os.path.dirname(os.path.dirname(so3five.__file__))
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, so3five.cli; print(sorted(m for m in sys.modules "
+         "if m == 'numpy' or m.startswith('numpy.')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -6,15 +6,21 @@ compared exactly with sympy's algebraic number fields: ``QQ.algebraic_field
 (sqrt(3))`` for the real field and the same field with ``I`` adjoined for
 the complex one.  The samples include zero, units, large numerators and
 pairs whose sum or difference cancels the denominator to 1.
+
+Fiber functions (``twistor.FiberFunction``, a polynomial in z and zbar over
+a power of 1 + z zbar) are checked the same way against sympy polynomials
+in z and zbar over that complex field, with z and zbar independent
+variables, as the Wirtinger derivatives treat them.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from sympy import QQ, I, Rational, sign, sqrt, sympify
+from sympy import QQ, I, Rational, ring, sign, sqrt, sympify
 
 from so3five.scalar import CScalar, Scalar
+from so3five.twistor import FiberFunction
 
 K = QQ.algebraic_field(sqrt(3))
 L = QQ.algebraic_field(sqrt(3), I)
@@ -213,3 +219,141 @@ def test_complex_conjugate_parts_and_mixed_operands():
         assert to_l(z - 2) == lz - L([QQ(2)])
         assert to_l(-z + 1) == L.one - lz
         assert z == CScalar(z.re, z.im)
+
+
+# -- fiber functions: polynomials in z, zbar over (1 + z zbar)^k -----------
+
+R, Z, ZB = ring("z,zb", L)
+ONE_W = R.one + Z * ZB
+
+
+def _lq(x):
+    return L([QQ(x.numerator, x.denominator)])
+
+
+def _quad(rng):
+    """The parts (a, b, c, e) of (a + b sqrt3) + i (c + e sqrt3), each one
+    zero at random, as they often are in the twistor coframe."""
+    return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                 if rng.random() < 0.6 else Fraction(0) for _ in range(4))
+
+
+def _fiber_data(rng):
+    """A seeded numerator {(p, q): parts}, multiplied by (1 + z zbar) up to
+    three times, and a power k <= 7 of (1 + z zbar) below it."""
+    num = {(rng.randint(0, 3), rng.randint(0, 3)): _quad(rng)
+           for _ in range(rng.randint(1, 4))}
+    for _ in range(rng.randint(0, 3)):
+        lifted = {}
+        for (p, q), c in num.items():
+            for key in ((p, q), (p + 1, q + 1)):
+                old = lifted.get(key, (0, 0, 0, 0))
+                lifted[key] = tuple(x + y for x, y in zip(old, c))
+        num = lifted
+    return num, rng.randint(0, 7)
+
+
+def _fiber(data):
+    num, k = data
+    return FiberFunction({key: CScalar(Scalar(a, b), Scalar(c, e))
+                          for key, (a, b, c, e) in num.items()}, k)
+
+
+def _oracle(data):
+    """(numerator in L[z, zbar], k), built from the same parts."""
+    num, k = data
+    poly = R.zero
+    for (p, q), (a, b, c, e) in num.items():
+        coef = _lq(a) + _lq(b) * L_SQRT3 + (_lq(c) + _lq(e) * L_SQRT3) * L_I
+        poly += coef * Z ** p * ZB ** q
+    return poly, k
+
+
+def _conjugate_data(data):
+    num, k = data
+    return {(q, p): (a, b, -c, -e) for (p, q), (a, b, c, e) in num.items()}, k
+
+
+def to_r(f):
+    """A FiberFunction as (numerator in L[z, zbar], k), through f.num."""
+    poly = R.zero
+    for (p, q), c in f.num.items():
+        poly += to_l(c) * Z ** p * ZB ** q
+    return poly, f.k
+
+
+def same(x, y):
+    """Equality of N1 / (1 + z zbar)^k1 and N2 / (1 + z zbar)^k2."""
+    (n1, k1), (n2, k2) = x, y
+    if k1 > k2:
+        return n1 == n2 * ONE_W ** (k1 - k2)
+    return n1 * ONE_W ** (k2 - k1) == n2
+
+
+def _fiber_sample(seed, n):
+    rng = random.Random(seed)
+    data = [({}, 0), ({(0, 0): (Fraction(1), 0, 0, 0)}, 0),
+            ({(0, 0): (1, 0, 0, 0), (1, 1): (1, 0, 0, 0)}, 3)]
+    data += [_fiber_data(rng) for _ in range(n)]
+    return data, list(zip(data, data[1:] + data[:1]))
+
+
+FIBERS, FIBER_PAIRS = _fiber_sample(20261019, 21)
+
+
+def test_fiber_ring_operations():
+    for x, y in FIBER_PAIRS:
+        f, g = _fiber(x), _fiber(y)
+        (nf, kf), (ng, kg) = _oracle(x), _oracle(y)
+        lifted = ONE_W ** abs(kf - kg)
+        if kf >= kg:
+            total, diff = (nf + ng * lifted, kf), (nf - ng * lifted, kf)
+        else:
+            total, diff = (nf * lifted + ng, kg), (nf * lifted - ng, kg)
+        assert same(to_r(f + g), total)
+        assert same(to_r(f - g), diff)
+        assert same(to_r(f * g), (nf * ng, kf + kg))
+        assert same(to_r(-f), (-nf, kf))
+        assert same(to_r(3 + f), (nf + 3 * ONE_W ** kf, kf))
+        assert same(to_r(f * CScalar(0, 2)), (nf * 2 * L_I, kf))
+        assert (f == g) == same((nf, kf), (ng, kg))
+        assert f == f + 0
+
+
+def test_fiber_derivatives_and_conjugate():
+    for data in FIBERS:
+        f = _fiber(data)
+        n, k = _oracle(data)
+        # the quotient rule for N / (1 + z zbar)^k, z and zbar independent
+        assert same(to_r(f.d_z()), (n.diff(Z) * ONE_W - k * ZB * n, k + 1))
+        assert same(to_r(f.d_zbar()),
+                    (n.diff(ZB) * ONE_W - k * Z * n, k + 1))
+        assert same(to_r(f.conjugate()), _oracle(_conjugate_data(data)))
+
+
+def test_fiber_reduce_divides_out_every_common_factor():
+    products = [_fiber(x) * _fiber(y) for x, y in FIBER_PAIRS[:8]]
+    for f in [_fiber(data) for data in FIBERS] + products:
+        r = f.reduce()
+        n, k = to_r(r)
+        assert same((n, k), to_r(f))
+        assert k <= f.k
+        # either no denominator is left or (1 + z zbar) does not divide
+        assert k == 0 or n.div(ONE_W)[1] != R.zero
+        assert (n == R.zero) == (r.num == {}) == f.is_zero()
+
+
+def test_fiber_eval():
+    zsym, zbsym = R.symbols
+    points = (Rational(3, 10) + Rational(7, 10) * I, Rational(-6, 5) +
+              Rational(2, 5) * I, Rational(0))
+    for data in FIBERS[:10]:
+        f = _fiber(data)
+        n, k = _oracle(data)
+        expr = n.as_expr()
+        for z in points:
+            zbar = z.conjugate()
+            want = complex((expr.subs({zsym: z, zbsym: zbar})
+                            / (1 + z * zbar) ** k).evalf(30))
+            got = f.eval(complex(z))
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (data, z)
