@@ -161,11 +161,7 @@ class FiberFunction:
             if divided is None:
                 break
             coefs, k = divided, k - 1
-        if k == self.k:
-            return self
-        # a float numerator can divide into exact coefficients
-        return _fiber_of(coefs, self.den, k) if self.den is not None \
-            else _normal(coefs, None, k)
+        return self if k == self.k else _normal(coefs, self.den, k)
 
     def eval(self, z: complex) -> complex:
         z = complex(z)
