@@ -7,8 +7,8 @@ The package is organized around the defining totally symmetric ternary form:
 - :mod:`so3five.upsilon`    the ternary form, canonical frames, stabilizer
 - :mod:`so3five.repr`       decompositions of 2-tensors, connections, curvature
 - :mod:`so3five.connection` Levi-Civita and characteristic connections, Ricci;
-                            ``Analysis`` is the report of one model at one
-                            tolerance, each field computed on first read
+                            ``Analysis`` reads the stages a model keeps at
+                            one tolerance, each computed on first read
 - :mod:`so3five.catalog`    the homogeneous example geometries
 - :mod:`so3five.spin`       Clifford algebra, spin(3), constant-spinor obstruction
 - :mod:`so3five.twistor`    twistor coframe, CR integrability, the G2 3-form

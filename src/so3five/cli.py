@@ -35,7 +35,6 @@ from .catalog import (
     verify_expectations,
 )
 from .connection import (
-    Analysis,
     StructureError,
     build_report,
     cartan_su3,
@@ -176,7 +175,7 @@ def _catalog_rows(model, stanza, tol):
 
 def classify_data(model: CoframeModel, data=None, tol=DEFAULT_TOL) -> dict:
     """Everything cmd_classify reports, as one JSON-ready dictionary."""
-    report = build_report(model, tol)  # held, so every stage runs once
+    report = build_report(model, tol)
     out = {
         "model": model.name,
         "dimension": model.dim,
@@ -361,8 +360,6 @@ def cmd_cr(args) -> int:
               "the sphere-bundle coframe needs the characteristic connection")
         return EXIT_NOT_NI
     cr_tol = max(tol, 1e-12)
-    # held, so that both calls read the CR forms it keeps
-    cr_analysis = Analysis(model, cr_tol)
     result = cr_residuals(model, args.structure, tol=cr_tol)
     sampled = cr_residuals_sampled(model, args.structure, seed=args.seed,
                                    tol=cr_tol)
@@ -461,17 +458,15 @@ def _selftest_table(seed, tol):
 
     def j0_right(m, want):
         """Whether the j0 residuals and the forecast both say `want`."""
-        # held, so that both calls read one analysis when tol is cr_tol
-        analysis = Analysis(m, cr_tol)
         return cr_residuals(m, "j0", tol=cr_tol)["integrable"] == want \
             and predicted_verdict(m, tol)["integrable"] == want
 
-    # tor23(1,0,1,0) is j0-integrable, tor27(1,0) is not; the analysis of
-    # the first is held for both sphere-bundle rows
-    t23 = Analysis(tor23_model(1, 0, 1, 0), cr_tol)
-    sphere_ok = omega_normalization(t23.model) == 5 \
-        and gram_residual(t23.model, tol=cr_tol) == 0.0 \
-        and j0_right(t23.model, True) \
+    # tor23(1,0,1,0) is j0-integrable, tor27(1,0) is not; the first serves
+    # both sphere-bundle rows
+    t23 = tor23_model(1, 0, 1, 0)
+    sphere_ok = omega_normalization(t23) == 5 \
+        and gram_residual(t23, tol=cr_tol) == 0.0 \
+        and j0_right(t23, True) \
         and j0_right(tor27_model(1, 0), False)
 
     def exterior_ok():
@@ -577,8 +572,8 @@ def _selftest_table(seed, tol):
         ("acceptance-11 sphere-bundle verdicts", lambda: sphere_ok
          and j0_right(six_dim_model(2, t1=1, t2=2), True)
          and j0_right(flat_char_model([1] + [0] * 9), False)
-         and g2_form(t23.model, tol=cr_tol)["match"]
-         and quarter_identity(t23.model, tol=cr_tol)["consistent"],
+         and g2_form(t23, tol=cr_tol)["match"]
+         and quarter_identity(t23, tol=cr_tol)["consistent"],
          False),
         # out-of-scope claims are excluded by design, not silently skipped
         ("acceptance-12 exclusions documented", lambda: (

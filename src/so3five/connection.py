@@ -58,7 +58,7 @@ class So3Connection:
         for g in gammas:
             if g.degree != 1:
                 raise ValueError("connection entries must be 1-forms")
-        self.model = model
+        self.model = model.frame
         self.gammas = list(gammas)
 
     @classmethod
@@ -88,10 +88,10 @@ def _once(store, key, build, *args):
 
 
 def stage(fn):
-    """Keep fn(model, ..., tol) in Analysis(model, tol).
+    """Keep fn(model, ..., tol) in model.stages[tol].
 
     The first call computes the value; later calls return it while the
-    analysis lives.  It is keyed by fn's name and its arguments other than
+    model lives.  It is keyed by fn's name and its arguments other than
     model and tol.
     """
     signature = inspect.signature(fn)
@@ -480,7 +480,7 @@ def cartan_su3(model: CoframeModel, gamma: So3Connection, tol=DEFAULT_TOL):
 
 class _Stage:
     """An Analysis attribute: build(analysis), computed on first read and
-    kept in the analysis."""
+    kept in the analysis's stages."""
 
     def __init__(self, build):
         self.build = build
@@ -508,24 +508,17 @@ def _from_ricci(key):
 class Analysis:
     """The derived geometry of one model at one tolerance: its report.
 
-    Analysis(model, tol) is the live analysis of the model at tol, or a new
-    one.  Every attribute past model and tolerance is computed on first
-    read, so a command computes only what it prints, and the @stage
-    functions of this module, spin and twistor keep their results here.
-    The model holds its analyses weakly: the forms of a stage (torsion,
-    curvature forms, the twistor coframe) point back at the model, so a
-    model that held them would form a cycle, freed only by the cyclic
-    garbage collector.
+    Analysis(model, tol) views model.stages[tol], which the @stage functions
+    of this module, spin and twistor fill too.  Each attribute past model
+    and tolerance is computed on first read, so a command computes only
+    what it prints.  A view points at the model, which never stores one.
     """
 
-    __slots__ = ("model", "tolerance", "stages", "__weakref__")
+    __slots__ = ("model", "tolerance", "stages")
 
-    def __new__(cls, model: CoframeModel, tol=DEFAULT_TOL):
-        self = model.analyses.get(tol)
-        if self is None:
-            self = model.analyses[tol] = super().__new__(cls)
-            self.model, self.tolerance, self.stages = model, tol, {}
-        return self
+    def __init__(self, model: CoframeModel, tol):
+        self.model, self.tolerance = model, tol
+        self.stages = model.stages.setdefault(tol, {})
 
     # a name called in a lambda is the module function, not the attribute
     levi_civita = _Stage(lambda a: levi_civita(a.model))

@@ -19,7 +19,6 @@ and refuses legs above it.
 from __future__ import annotations
 
 import math
-from weakref import WeakValueDictionary
 
 from .scalar import DEFAULT_TOL, Scalar, scalar
 
@@ -48,7 +47,7 @@ def sort_indices(indices):
 
 
 class Form:
-    """Exterior form with constant Scalar coefficients on a coframe model.
+    """Exterior form with constant Scalar coefficients on a model's frame.
 
     The engine is generic in two class attributes: ``ring`` coerces a value
     into the coefficient ring, and ``n_extra`` counts the legs a subclass
@@ -62,8 +61,8 @@ class Form:
     ring = staticmethod(scalar)
     n_extra = 0
 
-    def __init__(self, model: "CoframeModel", degree: int, terms=None):
-        self.model = model
+    def __init__(self, model, degree: int, terms=None):
+        self.model = model.frame  # of a model, or of the frame itself
         self.degree = degree
         self.terms = {}
         if terms:
@@ -177,12 +176,11 @@ class Form:
         return f"{type(self).__name__}(" + " + ".join(bits) + ")"
 
 
-class CoframeModel:
+class Frame:
     """Coframe presentation by structure constants, plus an optional declared
-    so(3) connection (three 1-forms)."""
+    so(3) connection (three 1-forms).  It never changes once built."""
 
-    def __init__(self, name: str, d=None, n_fiber: int = 0, labels=None,
-                 connection=None, tol: float = DEFAULT_TOL):
+    def __init__(self, name: str, d, n_fiber: int, labels, connection):
         if n_fiber not in _ALLOWED_FIBERS:
             raise ModelError(f"n_fiber must be one of {_ALLOWED_FIBERS}, got {n_fiber}")
         self.name = str(name)
@@ -231,19 +229,14 @@ class CoframeModel:
         self.connection_spec = conn
 
         # the terms of each d(theta^i), not Forms: a Form points at its
-        # model, and a model that held one would be a reference cycle
+        # frame, and a frame that held one would be a reference cycle
         self._d_terms = {i: Form(self, 2, [((b, c), co) for co, b, c in
                                            table.get(i, [])]).terms
                          for i in range(1, self.dim + 1)}
-        # the connection.Analysis of each tolerance, held weakly because
-        # their forms point back at the model
-        self.analyses = WeakValueDictionary()
-        bad = self.jacobi_residuals(tol)
-        if bad:
-            worst = ", ".join(
-                f"d^2(theta^{i}) has {r.max_coeff_mag():.3e}" for i, r in bad)
-            raise ModelError(f"d^2 != 0: {worst} "
-                             f"(at /d/{self.labels[bad[0][0] - 1]})")
+
+    @property
+    def frame(self) -> "Frame":
+        return self
 
     # -- form constructors -------------------------------------------------
 
@@ -278,16 +271,6 @@ class CoframeModel:
                      for co, _ in entries)
         return ok
 
-    # -- integrity ---------------------------------------------------------
-
-    def jacobi_residuals(self, tol: float = DEFAULT_TOL):
-        bad = []
-        for i in range(1, self.dim + 1):
-            r = ext_d(self.d_of(i))
-            if not r.is_zero(tol):
-                bad.append((i, r))
-        return bad
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -305,6 +288,35 @@ class CoframeModel:
                           for co, ix in self.connection_spec[w]]
                 for w in (1, 2, 3)}
         return out
+
+
+class CoframeModel:
+    """A frame that passed the d^2 = 0 check, and ``stages``: the results
+    kept at each tolerance, which connection.Analysis reads.  Their forms
+    point at the frame, so reference counting frees the stages with the
+    model.  Every other attribute is the frame's."""
+
+    def __init__(self, name: str, d=None, n_fiber: int = 0, labels=None,
+                 connection=None, tol: float = DEFAULT_TOL):
+        self.frame = Frame(name, d, n_fiber, labels, connection)
+        self.stages = {}
+        bad = self.jacobi_residuals(tol)
+        if bad:
+            worst = ", ".join(
+                f"d^2(theta^{i}) has {r.max_coeff_mag():.3e}" for i, r in bad)
+            raise ModelError(f"d^2 != 0: {worst} "
+                             f"(at /d/{self.labels[bad[0][0] - 1]})")
+
+    def __getattr__(self, name):
+        return getattr(self.frame, name)
+
+    def jacobi_residuals(self, tol: float = DEFAULT_TOL):
+        bad = []
+        for i in range(1, self.dim + 1):
+            r = ext_d(self.d_of(i))
+            if not r.is_zero(tol):
+                bad.append((i, r))
+        return bad
 
     @classmethod
     def from_json(cls, data: dict, tol: float = DEFAULT_TOL) -> "CoframeModel":

@@ -458,7 +458,7 @@ def twistor_coframe(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
     """The displayed complex coframe and its real orthonormal version.
 
     It is built on the characteristic connection, checked at tol, and kept
-    in Analysis(model, tol).
+    by the model at tol.
     """
     dz = TwistorForm.leg(model, model.dim + 1)
     h = (dz + _connection_terms(model, tol)) * _INV_ONE_W
@@ -607,7 +607,7 @@ def _structure_span(cf: dict, which: str):
 def _cr_forms(model: CoframeModel, which: str, tol: float) -> dict:
     """Each coframe member mu with its residual 6-form d(mu) ^ u ^ span.
 
-    The forms are kept per structure in Analysis(model, tol) and serve both
+    The forms are kept per structure by the model at tol and serve both
     the exact residuals and the sampled cross-check.
     """
     cf = twistor_coframe(model, tol)

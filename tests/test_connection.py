@@ -546,8 +546,8 @@ def near_tor23():
 def test_wrappers_share_the_held_analysis():
     model = so3r2(2)
     analysis = Analysis(model, 1e-9)
-    assert Analysis(model, 1e-9) is analysis
-    assert build_report(model, 1e-9) is analysis
+    assert Analysis(model, 1e-9).stages is analysis.stages
+    assert build_report(model, 1e-9).stages is analysis.stages
     assert ricci(model, 1e-9) is ricci(model, 1e-9)
     assert characteristic_connection(model, 1e-9) \
         is characteristic_connection(model, 1e-9)
@@ -578,7 +578,7 @@ def test_tolerance_stages_are_never_shared(count_calls):
             characteristic_connection(m, 1e-9)
     # every stage belongs to one analysis: Levi-Civita once per analysis
     assert calls == {"levi_civita": 3, "curvature": 1}
-    assert build_report(model, 1e-5) is loose
+    assert build_report(model, 1e-5).stages is loose.stages
     assert all(a.failure for a in held)
 
 
@@ -599,15 +599,30 @@ def test_report_fields_are_computed_on_first_read(count_calls):
     assert calls == {"bianchi_check": 1, "ricci": 1}
 
 
+def test_model_keeps_its_stages_with_nothing_held(count_calls):
+    """Two calls on one model share its stages though no caller holds a
+    report between them."""
+    from so3five import twistor
+
+    calls = count_calls(twistor, ("_connection_terms",))
+    count_calls(connection, ("curvature",))
+    model = tor23_model(1, 0, 1, 0)
+    twistor.cr_residuals(model, "jm")
+    twistor.cr_residuals_sampled(model, "jm")
+    assert build_report(model, 1e-9).r_forms
+    assert spinor_obstruction(model, 1e-9)["solution_dim"] == 0
+    assert calls == {"_connection_terms": 1, "curvature": 1}
+
+
 def test_model_is_freed_by_reference_counting():
-    """A model holds no form, and its analyses only weakly, so once the
-    caller drops the model and its report, reference counting frees the
-    model with every stage, without the cyclic garbage collector."""
+    """No stage points back at the model, so once the caller drops the
+    model and its report, reference counting frees the model with every
+    stage, without the cyclic garbage collector."""
     import gc
     import weakref
 
-    from so3five.catalog import tor23_model
-    from so3five.twistor import cr_residuals
+    from so3five.twistor import (STRUCTURES, cr_residuals,
+                                 cr_residuals_sampled, twistor_coframe)
 
     gc.collect()
     gc.disable()
@@ -618,6 +633,13 @@ def test_model_is_freed_by_reference_counting():
                    if f != "failure")
         assert spinor_obstruction(model, 1e-9)["solution_dim"] == 0
         assert cr_residuals(model, "j0", tol=1e-9)["integrable"]
+        for tol in (1e-9, 1e-12):
+            assert ricci(model, tol)["relation_residual"] == 0.0
+            assert nearly_integrable(model, tol)[0]
+            assert len(twistor_coframe(model, tol)["theta"]) == 7
+            for which in STRUCTURES:
+                assert cr_residuals(model, which, tol=tol)["structure"] \
+                    == cr_residuals_sampled(model, which, tol=tol)["structure"]
         ref = weakref.ref(model)
         del model, rep
         assert ref() is None

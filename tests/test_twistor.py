@@ -13,7 +13,7 @@ from so3five.catalog import (
     torsion_free_model,
 )
 from so3five.catalog import entry_json
-from so3five.connection import Analysis, StructureError
+from so3five.connection import StructureError
 from so3five.exterior import (
     CoframeModel,
     Form,
@@ -55,32 +55,28 @@ from so3five.twistor import (
 from so3five.upsilon import E_matrices, standard_upsilon
 
 
-def held(model):
-    """Yield the model while holding its analysis at the default tolerance,
-    so the tests of a module share its stages as the calls of one command
-    do."""
-    analysis = Analysis(model)
-    yield analysis.model
+# each model keeps its stages, so the tests of a module share them as the
+# calls of one command do
 
 
 @pytest.fixture(scope="module")
 def tf1():
-    yield from held(torsion_free_model(1))
+    return torsion_free_model(1)
 
 
 @pytest.fixture(scope="module")
 def t23():
-    yield from held(tor23_model(1, 0, 1, 0))
+    return tor23_model(1, 0, 1, 0)
 
 
 @pytest.fixture(scope="module")
 def t27():
-    yield from held(tor27_model(1, 0))
+    return tor27_model(1, 0)
 
 
 @pytest.fixture(scope="module")
 def sd211():
-    yield from held(six_dim_model(2, t1=1, t2=1))
+    return six_dim_model(2, t1=1, t2=1)
 
 
 # -- fiber functions --------------------------------------------------------
@@ -390,10 +386,9 @@ def substitute(tf, replacements):
     return out
 
 
-def to_split_basis(tf):
+def to_split_basis(model, tf):
     """Rewrite the dz, dzbar legs of a form over a base model through the
     orthonormal fiber pair."""
-    model = tf.model
     conn = _connection_terms(model, DEFAULT_TOL)
     dz, dzb = model.dim + 1, model.dim + 2
     # dz = (1+z zbar)(fiber7 - i fiber6) - sum_I c_I gamma^I, and dzbar
@@ -414,7 +409,7 @@ class TestG2:
             assert out["match_residual"] == 0.0
 
     def test_seven_norm(self, t23):
-        split = to_split_basis(g2_form(t23)["phi"])
+        split = to_split_basis(t23, g2_form(t23)["phi"])
         top = split.wedge(hodge_star(split, 7))
         norm = top.coeff(tuple(range(1, 8))).reduce()
         assert (norm - FiberFunction.const(7)).max_mag() == 0.0
