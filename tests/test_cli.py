@@ -391,6 +391,8 @@ class TestOneAnalysis:
         ("tor23_rho1", "tor23", {"rho": "1", "eps": "1", "delta": "1"}),
         ("six_dim_2_t1_1_t2_1", "six-dim-2", {"t1": "1", "t2": "1"}),
         ("torsion_free_r115_1", "torsion-free", {"r115": "1"}),
+        # float input: the coefficients of tor27 at phi = 0.7 are inexact
+        ("tor27_rho1_phi0.7", "tor27", {"rho": "1", "phi": "0.7"}),
     ])
     def test_classify_json_is_pinned(self, capsys, tmp_path, pinned, entry,
                                      params):
@@ -418,6 +420,16 @@ class TestOneAnalysis:
                            "--json", "--tol", "1e-9")
         assert code == 0
         assert out == (DATA / f"cr_{structure}_{pinned}.json").read_text()
+
+    def test_cr_json_on_float_input_is_pinned(self, capsys, tmp_path):
+        from so3five.catalog import entry_json
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(entry_json("tor27", {"rho": "1",
+                                                        "phi": "0.7"})))
+        code, out, _ = run(capsys, "cr", str(path), "--structure", "j0",
+                           "--json", "--tol", "1e-9")
+        assert code == 0
+        assert out == (DATA / "cr_j0_tor27_rho1_phi0.7.json").read_text()
 
 
 class TestDecomposeTorsion:
