@@ -719,13 +719,7 @@ def verify_expectations(model, expect, tol=DEFAULT_TOL):
         add("curvature-flat", total <= tol, total, "0", "%g" % total)
     if "pure" in expect:
         pure = expect["pure"]
-        if report.torsion.is_zero(tol):
-            got = "zero"
-        else:
-            t3z = report.torsion_t3.is_zero(tol)
-            t7z = report.torsion_t7.is_zero(tol)
-            got = "t3" if t7z and not t3z else \
-                "t7" if t3z and not t7z else "mixed"
+        got = report.torsion_class
         want = pure if pure is not None else "mixed"
         add("torsion-class", got == want, 0.0 if got == want else 1.0,
             want, got)

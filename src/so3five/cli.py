@@ -8,14 +8,17 @@ Exit codes are stable: 0 on success, 1 on input or schema errors, 2 when
 the structure exists but is not nearly integrable.
 
 The tolerance is read once, in main: --tol, else the SO3FIVE_TOL
-environment variable, else 1e-9.  Every command passes it down as an
-argument, so the variable and the flag are the same setting.
+environment variable, else 1e-9, and must be a finite number >= 0.  Every
+command passes it down as an argument, so the variable and the flag are
+the same setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import random
 import sys
 
@@ -139,10 +142,8 @@ def _torsion_json(report, tol):
     a form that is zero at tol has no coefficients here."""
     T, t3, t7 = (_form_json(f, tol) for f in
                  (report.torsion, report.torsion_t3, report.torsion_t7))
-    cls = "zero" if not T else "t3" if t3 and not t7 else \
-        "t7" if t7 and not t3 else "mixed"
-    return {"torsion": T, "torsion_class": cls, "torsion_3_part": t3,
-            "torsion_7_part": t7}
+    return {"torsion": T, "torsion_class": report.torsion_class,
+            "torsion_3_part": t3, "torsion_7_part": t7}
 
 
 def _einstein(report, tol):
@@ -510,8 +511,7 @@ def _selftest_table(seed, tol):
             """Torsion class and curvature components present."""
             rep = build_report(six_dim_model(case, t1=t1, t2=t2), tol)
             comps = rep.curvature_components["present"]
-            return _torsion_json(rep, tol)["torsion_class"], \
-                {k for k, v in comps.items() if v}
+            return rep.torsion_class, {k for k, v in comps.items() if v}
 
         t1 = acc_rng.randint(1, 3)
         return types(2, t1, 2 * t1)[0] == "t3" \
@@ -651,14 +651,32 @@ def _build_parser():
     return p
 
 
+def _checked_tol(flag):
+    """--tol, else SO3FIVE_TOL, else 1e-9; None, after one line on stderr,
+    when that is not a finite number >= 0."""
+    source = "SO3FIVE_TOL" if flag is None else "--tol"
+    try:
+        tol = get_tol() if flag is None else flag
+    except ValueError:
+        tol = math.nan
+    if math.isfinite(tol) and tol >= 0:
+        return tol
+    value = flag if flag is not None else os.environ["SO3FIVE_TOL"]
+    print(f"error: {source} must be a finite number >= 0, not {value!r}",
+          file=sys.stderr)
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if hasattr(args, "tol") and args.tol is None:  # catalog takes no --tol
-        args.tol = get_tol()  # --tol, else SO3FIVE_TOL, else 1e-9
+    if hasattr(args, "tol"):  # catalog takes no --tol
+        args.tol = _checked_tol(args.tol)
+        if args.tol is None:
+            return EXIT_INPUT
     try:
         return args.func(args)
     except StructureError as e:

@@ -143,7 +143,7 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
 
 def _bundle_torsion_tensor(model: CoframeModel):
     """Dense T_ijk from the 2-forms d theta^i + Gamma^i_j ^ theta^j of the
-    declared connection Gamma, and the residual of its skew symmetry."""
+    declared connection Gamma."""
     gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
     x = []
     for i in range(N):
@@ -155,17 +155,14 @@ def _bundle_torsion_tensor(model: CoframeModel):
                 "declared connection does not absorb the vertical part of "
                 "d theta^%d (at /connection)" % (i + 1))
         x.append(form_array(Ti))
-    skew = 0.0
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                skew = max(skew, abs(float(x[i][j][k] + x[j][i][k])))
-    return x, skew
+    return x
 
 
 @stage
 def nearly_integrable(model: CoframeModel, tol=DEFAULT_TOL):
-    """Flag plus residual; exact models give exact verdicts."""
+    """Flag plus residual; exact models give exact verdicts.  The prime
+    operator must kill a base model's Levi-Civita connection, and a bundle
+    model's declared connection must have torsion skew in (ij)."""
     analysis = Analysis(model, tol)
     if model.n_fiber == 0:
         xi = analysis.levi_civita
@@ -179,45 +176,35 @@ def nearly_integrable(model: CoframeModel, tol=DEFAULT_TOL):
     if not model.has_connection:
         raise ModelError("bundle model lacks a declared connection "
                          "(at /connection)")
-    x, skew = analysis.bundle_torsion
-    exact = all(x[i][j][k].is_exact
-                for i in range(N) for j in range(N) for k in range(N))
-    if exact:
-        flag = all((x[i][j][k] + x[j][i][k]).is_zero()
-                   for i in range(N) for j in range(N) for k in range(N))
-    else:
-        scale = max(1.0, max(abs(float(x[i][j][k])) for i in range(N)
-                             for j in range(N) for k in range(N)))
-        flag = skew <= tol * scale
-    return flag, skew
+    x = analysis.bundle_torsion
+    # each sum x_ijk + x_jik once; together they read every entry
+    sums = [x[i][j][k] + x[j][i][k]
+            for i in range(N) for j in range(i, N) for k in range(N)]
+    skew = max(abs(float(v)) for v in sums)
+    if all(v.is_exact for v in sums):
+        return all(v.is_zero() for v in sums), skew
+    scale = max(1.0, max(abs(float(v)) for plane in x for row in plane
+                         for v in row))
+    return skew <= tol * scale, skew
 
 
 @stage
 def characteristic_connection(model: CoframeModel, tol=DEFAULT_TOL):
-    """The group-valued connection and its totally skew torsion 3-form."""
-    analysis = Analysis(model, tol)
-    if model.n_fiber == 0:
-        xi, parts = analysis.levi_civita, analysis.split
-        rem = parts["remainder"]
-        residual = rem.max_mag()
-        ok = rem.is_zero() if xi.is_exact else \
-            residual <= tol * max(1.0, xi.max_mag())
-        if not ok:
-            raise StructureError(
-                "structure is not nearly integrable: the metric connection "
-                "does not split into a group part plus skew torsion "
-                "(residual %.3e)" % residual, residual=residual)
-        gamma = So3Connection.from_coeffs(model, parts["gamma_coeffs"])
-        return gamma, model.form(3, [((a + 1, b + 1, c + 1), 2 * v) for
-                                     (a, b, c), v in
-                                     parts["torsion_coeffs"].items()])
-    flag, skew = nearly_integrable(model, tol)
+    """The group-valued connection and its totally skew torsion 3-form;
+    StructureError, with nearly_integrable's residual, when there is none."""
+    flag, residual = nearly_integrable(model, tol)
     if not flag:
         raise StructureError(
-            "declared connection has non-skew torsion (residual %.3e)" % skew,
-            residual=skew)
+            "structure is not nearly integrable (residual %.3e)" % residual,
+            residual=residual)
+    analysis = Analysis(model, tol)
+    if model.n_fiber == 0:
+        gamma_coeffs, torsion_coeffs = split_connection(analysis.levi_civita)
+        return (So3Connection.from_coeffs(model, gamma_coeffs),
+                model.form(3, [((a + 1, b + 1, c + 1), 2 * v) for
+                               (a, b, c), v in torsion_coeffs.items()]))
     gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
-    x, _ = analysis.bundle_torsion
+    x = analysis.bundle_torsion
     return gamma, model.form(3, [((a + 1, b + 1, c + 1), x[a][b][c])
                                  for a, b, c in TRIPLES])
 
@@ -501,6 +488,15 @@ class _Field(_Stage):
         super().__init__(lambda a: build(a) if a.nearly_integrable else None)
 
 
+def _torsion_class(a):
+    """"zero", "t3", "t7" or "mixed": which torsion parts are nonzero at the
+    analysis tolerance."""
+    if a.torsion.is_zero(a.tolerance):
+        return "zero"
+    t3, t7 = (not f.is_zero(a.tolerance) for f in (a.torsion_t3, a.torsion_t7))
+    return "t3" if t3 and not t7 else "t7" if t7 and not t3 else "mixed"
+
+
 def _from_ricci(key):
     return _Field(lambda a: ricci(a.model, a.tolerance)[key])
 
@@ -522,10 +518,8 @@ class Analysis:
 
     # a name called in a lambda is the module function, not the attribute
     levi_civita = _Stage(lambda a: levi_civita(a.model))
-    # the Levi-Civita connection as group part + skew torsion + remainder
-    split = _Stage(lambda a: split_connection(a.levi_civita))
     lc_riemann = _Stage(lambda a: _lc_riemann(a.model, a.levi_civita))
-    # (T_ijk, skew residual) of a bundle model's declared connection
+    # T_ijk of a bundle model's declared connection
     bundle_torsion = _Stage(lambda a: _bundle_torsion_tensor(a.model))
     # (r_forms, K) of the characteristic connection
     curvature = _Stage(lambda a: curvature(
@@ -544,6 +538,7 @@ class Analysis:
                               else {"t3": None, "t7": None})
     torsion_t3 = _Field(lambda a: a._torsion_classes["t3"])
     torsion_t7 = _Field(lambda a: a._torsion_classes["t7"])
+    torsion_class = _Field(_torsion_class)
     r_forms = _Field(lambda a: a.curvature[0])
     curvature_components = _Field(
         lambda a: decompose_curvature(a.curvature[1], a.tolerance))

@@ -201,21 +201,8 @@ class ConnTensor(_Dense):
 
     __slots__ = ("x",)
 
-    def __init__(self, entries):
-        x = [[[scalar(entries[i][j][k]) for k in range(N)]
-              for j in range(N)] for i in range(N)]
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    if not (x[i][j][k] + x[j][i][k]).is_zero():
-                        raise ValueError(
-                            "connection tensor must be antisymmetric in the "
-                            "first index pair")
+    def __init__(self, x):
         self.x = x
-
-    @classmethod
-    def zero(cls):
-        return cls([[[0] * N for _ in range(N)] for _ in range(N)])
 
     @classmethod
     def from_pairs(cls, data):
@@ -227,19 +214,14 @@ class ConnTensor(_Dense):
             v = scalar(v)
             x[i][j][k] = x[i][j][k] + v
             x[j][i][k] = x[j][i][k] - v
-        obj = cls.__new__(cls)
-        obj.x = x
-        return obj
+        return cls(x)
 
     @classmethod
     def from_so3(cls, E, w):
         """E an antisymmetric 5x5 matrix, w a covector: xi_ijk = E_ij w_k."""
         w = [scalar(c) for c in w]
-        x = [[[scalar(E[i][j]) * w[k] for k in range(N)]
-              for j in range(N)] for i in range(N)]
-        obj = cls.__new__(cls)
-        obj.x = x
-        return obj
+        return cls([[[scalar(E[i][j]) * w[k] for k in range(N)]
+                     for j in range(N)] for i in range(N)])
 
     @classmethod
     def from_vector(cls, vec):
@@ -253,31 +235,10 @@ class ConnTensor(_Dense):
                 pos += 1
                 x[a][b][k] = v
                 x[b][a][k] = -v
-        obj = cls.__new__(cls)
-        obj.x = x
-        return obj
+        return cls(x)
 
     def to_vector(self):
         return [self.x[a][b][k] for a, b in PAIRS for k in range(N)]
-
-    def __add__(self, other):
-        obj = ConnTensor.__new__(ConnTensor)
-        obj.x = [[[self.x[i][j][k] + other.x[i][j][k] for k in range(N)]
-                  for j in range(N)] for i in range(N)]
-        return obj
-
-    def __sub__(self, other):
-        obj = ConnTensor.__new__(ConnTensor)
-        obj.x = [[[self.x[i][j][k] - other.x[i][j][k] for k in range(N)]
-                  for j in range(N)] for i in range(N)]
-        return obj
-
-    def scale(self, c):
-        c = scalar(c)
-        obj = ConnTensor.__new__(ConnTensor)
-        obj.x = [[[c * self.x[i][j][k] for k in range(N)]
-                  for j in range(N)] for i in range(N)]
-        return obj
 
     def entries(self):
         return (v for plane in self.x for row in plane for v in row)
@@ -500,16 +461,13 @@ def kernel_basis():
              for _ in range(N)]
         for p in permutations((a, b, c)):
             x[p[0]][p[1]][p[2]] = scalar(sort_indices(p)[1])
-        t3 = ConnTensor.__new__(ConnTensor)
-        t3.x = x
-        out.append(t3)
+        out.append(ConnTensor(x))
     return out
 
 
 @lru_cache(maxsize=1)
 def _split_setup():
-    basis = kernel_basis()
-    vecs = [b.to_vector() for b in basis]
+    vecs = [b.to_vector() for b in kernel_basis()]
     gram = [[dot(vi, vj) for vj in vecs] for vi in vecs]
     k = len(gram)
     zero, one = scalar(0), scalar(1)
@@ -519,39 +477,26 @@ def _split_setup():
     if pivots != list(range(k)):
         raise RuntimeError("projection Gram matrix is singular")
     inv = [row[k:] for row in red]
-    return basis, vecs, inv
+    return vecs, inv
 
 
 def split_connection(xi: ConnTensor):
-    """Split xi into group-valued part + skew torsion + remainder.
+    """The coefficients of the group-valued part and the skew torsion of xi.
 
-    gamma_ijk = c^I_k (E_I)_ij and torsion is totally antisymmetric; the
-    remainder is the Euclidean-orthogonal complement of the projection onto
-    the 25-dimensional kernel of the prime operator, so it vanishes exactly
-    when xi lies in that kernel.
+    They are the coordinates, in kernel_basis(), of the Euclidean-orthogonal
+    projection of xi onto the 25-dimensional kernel of the prime operator:
+    gamma_coeffs[I][k] multiplies E_I (x) e_k, so gamma_ijk = c^I_k (E_I)_ij,
+    and torsion_coeffs[(a, b, c)] the totally antisymmetric unit tensor on
+    a < b < c.  The projection is xi itself exactly when upsilon_prime(xi)
+    vanishes, which is what nearly_integrable decides.
     """
-    basis, vecs, inv = _split_setup()
+    vecs, inv = _split_setup()
     v = xi.to_vector()
     rhs = [dot(b, v) for b in vecs]
     coeffs = [dot(row, rhs) for row in inv]
-    gamma = ConnTensor.zero()
-    for t in range(15):
-        if not coeffs[t].is_zero():
-            gamma = gamma + basis[t].scale(coeffs[t])
-    torsion = ConnTensor.zero()
-    for t in range(10):
-        if not coeffs[15 + t].is_zero():
-            torsion = torsion + basis[15 + t].scale(coeffs[15 + t])
-    remainder = xi - gamma - torsion
     gamma_coeffs = [[coeffs[5 * t + k] for k in range(N)] for t in range(3)]
     torsion_coeffs = {TRIPLES[t]: coeffs[15 + t] for t in range(10)}
-    return {
-        "gamma": gamma,
-        "torsion": torsion,
-        "remainder": remainder,
-        "gamma_coeffs": gamma_coeffs,
-        "torsion_coeffs": torsion_coeffs,
-    }
+    return gamma_coeffs, torsion_coeffs
 
 
 # -- torsion and curvature classification ----------------------------------

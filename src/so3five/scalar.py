@@ -36,22 +36,16 @@ from fractions import Fraction
 from math import gcd
 
 DEFAULT_TOL = 1e-9
-_tol = float(os.environ.get("SO3FIVE_TOL", DEFAULT_TOL))
 
 _SQRT3_FLOAT = math.sqrt(3.0)
 _new = object.__new__
 
 
 def get_tol() -> float:
-    """The process-wide tolerance: SO3FIVE_TOL, or DEFAULT_TOL when unset,
-    until set_tol changes it.  The library never reads it; the command
-    line does, when no --tol is given."""
-    return _tol
-
-
-def set_tol(t: float) -> None:
-    global _tol
-    _tol = float(t)
+    """The SO3FIVE_TOL environment variable as a float, or DEFAULT_TOL when
+    it is unset; ValueError when it is not a number.  The library never
+    reads it; the command line does, when no --tol is given."""
+    return float(os.environ.get("SO3FIVE_TOL", DEFAULT_TOL))
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")

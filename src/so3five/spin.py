@@ -118,10 +118,7 @@ def spin_lift(A):
     out = zeros(4, like=I)
     for i, j in PAIRS:
         c = A[i][j]
-        if isinstance(c, CScalar):
-            if c.is_zero():
-                continue
-        elif c.is_zero():
+        if c.is_zero():
             continue
         out = mat_add(out, mat_scale(c * HALF, cl.product(i + 1, j + 1)))
     return out

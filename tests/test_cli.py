@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from so3five.cli import main
-from so3five.scalar import DEFAULT_TOL, get_tol, set_tol
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,7 +33,7 @@ def run(capsys, *argv):
 
 def perturbed_tor23(tmp_path, amount):
     """tor23 (rho=1, eps=1, delta=1) with a float amount of e2^e3 added to
-    d(e1): a d^2 residual and a split residual of order amount."""
+    d(e1): a d^2 residual and a prime residual of order amount."""
     from so3five.catalog import entry_json
     model = entry_json("tor23", {"rho": "1", "eps": "1", "delta": "1"})
     model.pop("catalog")
@@ -565,32 +564,51 @@ class TestSelftest:
 
 
 class TestToleranceSource:
-    """SO3FIVE_TOL, read through get_tol, and --tol are one setting."""
-
-    @staticmethod
-    def run_at_global(capsys, tol, *argv):
-        old = get_tol()
-        try:
-            set_tol(tol)
-            return run(capsys, *argv)
-        finally:
-            set_tol(old)
+    """SO3FIVE_TOL, read when main runs, and --tol are one setting."""
 
     @pytest.mark.parametrize("command", ["classify", "cr",
                                          "decompose-torsion"])
-    def test_global_and_flag_print_the_same(self, capsys, tmp_path, command):
+    def test_global_and_flag_print_the_same(self, capsys, monkeypatch,
+                                            tmp_path, command):
         path = perturbed_tor23(tmp_path, "1e-7")
-        by_global = self.run_at_global(capsys, 1e-5, command, path, "--json")
-        by_flag = self.run_at_global(capsys, DEFAULT_TOL, command, path,
-                                     "--json", "--tol", "1e-5")
-        assert by_global == by_flag
+        monkeypatch.setenv("SO3FIVE_TOL", "1e-5")
+        by_env = run(capsys, command, path, "--json")
+        monkeypatch.delenv("SO3FIVE_TOL")
+        by_flag = run(capsys, command, path, "--json", "--tol", "1e-5")
+        assert by_env == by_flag
         assert by_flag[0] == 0
 
-    def test_selftest_at_the_global_prints_the_flag_pin(self, capsys):
+    def test_selftest_at_the_global_prints_the_flag_pin(self, capsys,
+                                                        monkeypatch):
         # the pin is `selftest --tol 1e-16`, as in TestSelftest
-        code, out, _ = self.run_at_global(capsys, 1e-16, "selftest")
+        monkeypatch.setenv("SO3FIVE_TOL", "1e-16")
+        code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert_pinned_selftest(out, "selftest_tol_1e-16.txt")
+
+    @pytest.mark.parametrize("env, flag", [
+        ("abc", None), ("nan", None), ("-1", None), ("inf", None),
+        (None, "nan"), (None, "-1"), (None, "inf"), ("abc", "-1e-9")])
+    def test_a_bad_tolerance_exits_1_with_one_line(self, capsys, monkeypatch,
+                                                   tor23_file, env, flag):
+        monkeypatch.delenv("SO3FIVE_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SO3FIVE_TOL", env)
+        argv = ["classify", tor23_file]
+        if flag is not None:
+            argv.append(f"--tol={flag}")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert ("--tol" if flag is not None else "SO3FIVE_TOL") in err
+
+    def test_a_good_flag_wins_over_a_bad_variable(self, capsys, monkeypatch,
+                                                  tor23_file):
+        monkeypatch.setenv("SO3FIVE_TOL", "abc")
+        code, _, err = run(capsys, "classify", tor23_file, "--tol", "1e-9")
+        assert code == 0, err
 
 
 class TestParser:

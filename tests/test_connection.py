@@ -23,7 +23,7 @@ from so3five.connection import (
     ricci,
     weyl,
 )
-from so3five.catalog import tor23_model
+from so3five.catalog import entry_json, tor23_model
 from so3five.exterior import CoframeModel, ModelError, ext_d, wedge
 from so3five.repr import PAIRS, ConnTensor, Tensor2, kappa_forms
 from so3five.scalar import Scalar, scalar, sqrt3
@@ -104,7 +104,7 @@ def koszul(model):
 def test_lc_matches_closed_form_oracle():
     for model in (flat5(), so3r2(), heis(), so3r2(3)):
         xi = levi_civita(model)
-        assert (xi - koszul(model)).is_zero()
+        assert xi.to_vector() == koszul(model).to_vector()
 
 
 def test_lc_rejects_bundle_model():
@@ -154,9 +154,54 @@ def test_heisenberg_is_not_nearly_integrable():
     assert res > 0.01
     with pytest.raises(StructureError) as err:
         characteristic_connection(heis())
-    # the splitting remainder is a different map than the defect operator,
-    # so only positivity is shared
-    assert err.value.residual > 0.01
+    # the characteristic connection takes its verdict from nearly_integrable
+    assert err.value.residual == res
+
+
+def perturbed_tor23(amount):
+    """tor23 (rho = eps = delta = 1) with a float amount of e2^e3 added to
+    d(e1), loaded at 1e-5."""
+    data = entry_json("tor23", {"rho": "1", "eps": "1", "delta": "1"})
+    data.pop("catalog")
+    data["d"]["e1"].append([amount, "e2", "e3"])
+    return CoframeModel.from_json(data, tol=1e-5)
+
+
+def perturbed_case2():
+    """case2(1, 2) with 3e-8 theta^12 added to d theta^1: a bundle model
+    whose declared connection has a float skew residual of 6e-8."""
+    model = case2(1, 2)
+    d = {i: [(c, *legs) for legs, c in model.d_of(i).terms.items()]
+         for i in range(1, 7)}
+    d[1].append((3e-8, 1, 2))
+    return CoframeModel("case2-perturbed", n_fiber=1, d=d,
+                        connection={3: [(1, 6)]}, tol=1e-5)
+
+
+def test_characteristic_connection_takes_the_nearly_integrable_verdict():
+    # the split remainder of this model is below 3e-8 times its scale, but
+    # its prime residual is not: the verdict is the prime residual's
+    model = perturbed_tor23("5e-8")
+    flag, res = nearly_integrable(model, 3e-8)
+    assert not flag
+    with pytest.raises(StructureError) as err:
+        characteristic_connection(model, 3e-8)
+    assert err.value.residual == res
+    assert nearly_integrable(model, 1e-5)[0]
+    characteristic_connection(model, 1e-5)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 3e-8, 1e-5])
+def test_characteristic_connection_raises_exactly_when_not_ni(tol):
+    for model in (flat5(), so3r2(2), heis(), perturbed_tor23("5e-8"),
+                  torsion_free_bundle(1), case2(1, 1), perturbed_case2()):
+        flag, res = nearly_integrable(model, tol)
+        try:
+            characteristic_connection(model, tol)
+        except StructureError as err:
+            assert not flag and err.residual == res, model.name
+        else:
+            assert flag, model.name
 
 
 def test_characteristic_connection_sphere_product():

@@ -15,9 +15,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# public names that stay although nothing above names them
-ALLOWED = ["scalar.set_tol"]  # the process-wide tolerance of library users
-
 
 def names_in(tree):
     """How often tree names each identifier, docstrings left out."""
@@ -78,4 +75,4 @@ def test_every_public_name_is_reached():
         for qualname, name, node in public_definitions(tree)
         # uses inside the definition itself do not count
         if not outside[name] and in_library[name] == names_in(node)[name]]
-    assert unreached == ALLOWED
+    assert unreached == []

@@ -210,32 +210,48 @@ def test_prime_output_is_symmetric_by_construction():
 # -- connection splitting --------------------------------------------------
 
 
+def projected_parts(xi):
+    """The group-valued part and the skew torsion of xi as 50-vectors,
+    combined from split_connection's coefficients and kernel_basis()."""
+    gamma_coeffs, torsion_coeffs = split_connection(xi)
+    coeffs = [c for row in gamma_coeffs for c in row] + \
+        [torsion_coeffs[t] for t in TRIPLES]
+    vecs = [b.to_vector() for b in kernel_basis()]
+
+    def combine(span):
+        return [sum((coeffs[t] * vecs[t][n] for t in span), Scalar(0))
+                for n in range(50)]
+
+    return combine(range(15)), combine(range(15, 25))
+
+
+def vec_add(u, v, sign=1):
+    return [a + b * sign for a, b in zip(u, v)]
+
+
 def test_split_inclusion_identity():
     E = E_matrices()
     xi = ConnTensor.from_so3(E[1], [0, 0, 0, 1, 0])
-    parts = split_connection(xi)
-    assert (parts["gamma"] - xi).is_zero()
-    assert parts["torsion"].is_zero()
-    assert parts["remainder"].is_zero()
-    assert parts["gamma_coeffs"][1][3] == 1
+    gamma, torsion = projected_parts(xi)
+    assert gamma == xi.to_vector()
+    assert all(v.is_zero() for v in torsion)
+    assert split_connection(xi)[0][1][3] == 1
 
     lam = kernel_basis()[15 + TRIPLES.index((0, 1, 3))]
-    parts = split_connection(lam)
-    assert parts["gamma"].is_zero()
-    assert (parts["torsion"] - lam).is_zero()
-    assert parts["remainder"].is_zero()
-    assert parts["torsion_coeffs"][(0, 1, 3)] == 1
+    gamma, torsion = projected_parts(lam)
+    assert all(v.is_zero() for v in gamma)
+    assert torsion == lam.to_vector()
+    assert split_connection(lam)[1][(0, 1, 3)] == 1
 
 
 def test_split_kernel_combination_has_no_remainder():
     rng = random.Random(15)
-    basis = kernel_basis()
-    xi = ConnTensor.zero()
-    for b in basis:
-        xi = xi + b.scale(Fraction(rng.randint(-2, 2), 1))
-    parts = split_connection(xi)
-    assert parts["remainder"].is_zero()
-    assert (parts["gamma"] + parts["torsion"] - xi).is_zero()
+    vec = [Scalar(0)] * 50
+    for b in kernel_basis():
+        c = scalar(Fraction(rng.randint(-2, 2), 1))
+        vec = vec_add(vec, [c * v for v in b.to_vector()])
+    # a kernel element projects to itself
+    assert vec_add(*projected_parts(ConnTensor.from_vector(vec))) == vec
 
 
 def test_split_generic_remainder_orthogonal_to_kernel():
@@ -244,16 +260,15 @@ def test_split_generic_remainder_orthogonal_to_kernel():
     for a, b in PAIRS:
         for k in range(5):
             data[(a, b, k)] = Fraction(rng.randint(-3, 3), 2)
-    xi = ConnTensor.from_pairs(data)
-    parts = split_connection(xi)
-    rem = parts["remainder"]
-    assert not rem.is_zero()
-    rv = rem.to_vector()
+    xv = ConnTensor.from_pairs(data).to_vector()
+    proj = vec_add(*projected_parts(ConnTensor.from_vector(xv)))
+    rem = vec_add(xv, proj, -1)
+    assert not all(v.is_zero() for v in rem)
     for b in kernel_basis():
-        assert dot(b.to_vector(), rv).is_zero()
-    proj = parts["gamma"] + parts["torsion"]
-    assert xi.norm_sq() == proj.norm_sq() + rem.norm_sq()
-    assert sym4_is_zero(upsilon_prime(xi - rem))  # projection lies in the kernel
+        assert dot(b.to_vector(), rem).is_zero()
+    assert dot(xv, xv) == dot(proj, proj) + dot(rem, rem)
+    # the projection lies in the kernel
+    assert sym4_is_zero(upsilon_prime(ConnTensor.from_vector(proj)))
 
 
 # -- torsion types ---------------------------------------------------------

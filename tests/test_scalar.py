@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import so3five
-from so3five import scalar as sc
 from so3five.scalar import (
     CScalar,
     Scalar,
@@ -163,31 +162,15 @@ def test_is_zero_tolerance():
     assert not Scalar.exact(0, Fraction(1, 10**12)).is_zero()
 
 
-def test_set_tol_roundtrip():
-    old = sc.get_tol()
-    try:
-        sc.set_tol(1e-3)
-        assert sc.get_tol() == 1e-3
-        assert Scalar.from_float(1e-4).is_zero(sc.get_tol())
-    finally:
-        sc.set_tol(old)
-
-
-@pytest.mark.parametrize("global_tol", [sc.DEFAULT_TOL, 1e-3])
-def test_float_equality_is_exact_whatever_the_global_says(global_tol):
-    old = sc.get_tol()
-    try:
-        sc.set_tol(global_tol)
-        assert Scalar.from_float(1e-4) != 0
-        # 0 ~ 6e-4 ~ 1.2e-3 within 1e-3, yet 0 and 1.2e-3 are not
-        xs = [Scalar.from_float(x) for x in (0.0, 6e-4, 1.2e-3, 1.2e-3)]
-        for a in xs:
-            for b in xs:
-                for c in xs:
-                    if a == b and b == c:
-                        assert a == c
-    finally:
-        sc.set_tol(old)
+def test_float_equality_is_exact():
+    assert Scalar.from_float(1e-4) != 0
+    # 0 ~ 6e-4 ~ 1.2e-3 within 1e-3, yet 0 and 1.2e-3 are not
+    xs = [Scalar.from_float(x) for x in (0.0, 6e-4, 1.2e-3, 1.2e-3)]
+    for a in xs:
+        for b in xs:
+            for c in xs:
+                if a == b and b == c:
+                    assert a == c
 
 
 def test_float_of_an_exact_beyond_double_range_saturates():

@@ -1,9 +1,10 @@
 """The library reads no process-wide tolerance.
 
 Every tolerance is an argument that defaults to scalar.DEFAULT_TOL.  Only
-scalar.py, which defines get_tol and set_tol, and cli.py, which reads the
-tolerance once per invocation, may name them.  This reads the sources as
-text, so a fallback to the global cannot creep back in.
+scalar.py, which defines get_tol, and cli.py, which reads the tolerance
+once per invocation, may name it or the SO3FIVE_TOL variable it reads.
+This reads the sources as text, so a fallback to the global cannot creep
+back in.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import so3five
 
 SRC = Path(so3five.__file__).parent
-GLOBAL = re.compile(r"\b(get_tol|set_tol|_tol)\b")
+GLOBAL = re.compile(r"\b(get_tol|SO3FIVE_TOL)\b")
 NONE_DEFAULT = re.compile(r"\w*tol\s*(:[^=,)]*)?=\s*None\b|\w*tol\s*:[^=,)]*\bNone\b")
 LITERAL_DEFAULT = re.compile(r"\w*tol\s*(:[^=,)]*)?=\s*1e-9\b")
 
@@ -23,15 +24,11 @@ def _sources():
 
 
 def _definition_lines(path):
-    """Lines of scalar.py that define the global: its assignment and the
-    bodies of get_tol and set_tol."""
+    """Lines of scalar.py that define get_tol."""
     tree = ast.parse(path.read_text())
     lines = set()
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and \
-                node.name in ("get_tol", "set_tol") or \
-                isinstance(node, ast.Assign) and \
-                any(getattr(t, "id", None) == "_tol" for t in node.targets):
+        if isinstance(node, ast.FunctionDef) and node.name == "get_tol":
             lines.update(range(node.lineno, node.end_lineno + 1))
     return lines
 
@@ -59,6 +56,7 @@ def test_no_tolerance_defaults_to_none_or_a_literal():
 
 def test_the_guard_sees_a_fallback():
     assert GLOBAL.search("    t = get_tol() if tol is None else tol")
+    assert GLOBAL.search('    t = float(os.environ["SO3FIVE_TOL"])')
     assert not GLOBAL.search("    cr_tol = max(tol, 1e-12)")
     assert NONE_DEFAULT.search("def f(model, tol=None):")
     assert NONE_DEFAULT.search("def f(x, tol: float | None = None):")
