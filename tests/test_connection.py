@@ -179,8 +179,8 @@ def perturbed_case2():
 
 
 def test_characteristic_connection_takes_the_nearly_integrable_verdict():
-    # the split remainder of this model is below 3e-8 times its scale, but
-    # its prime residual is not: the verdict is the prime residual's
+    # its prime residual, 1.5e-7, is above 3e-8 but below 1e-5 times the
+    # scale of its Levi-Civita connection
     model = perturbed_tor23("5e-8")
     flag, res = nearly_integrable(model, 3e-8)
     assert not flag

@@ -260,8 +260,9 @@ def test_split_generic_remainder_orthogonal_to_kernel():
     for a, b in PAIRS:
         for k in range(5):
             data[(a, b, k)] = Fraction(rng.randint(-3, 3), 2)
-    xv = ConnTensor.from_pairs(data).to_vector()
-    proj = vec_add(*projected_parts(ConnTensor.from_vector(xv)))
+    xi = ConnTensor.from_pairs(data)
+    xv = xi.to_vector()
+    proj = vec_add(*projected_parts(xi))
     rem = vec_add(xv, proj, -1)
     assert not all(v.is_zero() for v in rem)
     for b in kernel_basis():
