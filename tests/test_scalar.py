@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import so3five
 from so3five.scalar import (
+    DEFAULT_TOL,
     CScalar,
     Scalar,
     cscalar,
@@ -162,7 +163,11 @@ def test_is_zero_tolerance():
     assert not Scalar.exact(0, Fraction(1, 10**12)).is_zero()
 
 
-def test_float_equality_is_exact():
+@pytest.mark.parametrize("global_tol", [DEFAULT_TOL, 1e-3])
+def test_float_equality_is_exact_whatever_the_global_says(global_tol, monkeypatch):
+    # SO3FIVE_TOL is the only process-wide tolerance left; Scalar equality
+    # must not consult it.
+    monkeypatch.setenv("SO3FIVE_TOL", str(global_tol))
     assert Scalar.from_float(1e-4) != 0
     # 0 ~ 6e-4 ~ 1.2e-3 within 1e-3, yet 0 and 1.2e-3 are not
     xs = [Scalar.from_float(x) for x in (0.0, 6e-4, 1.2e-3, 1.2e-3)]
