@@ -43,9 +43,16 @@ _new = object.__new__
 
 def get_tol() -> float:
     """The SO3FIVE_TOL environment variable as a float, or DEFAULT_TOL when
-    it is unset; ValueError when it is not a number.  The library never
-    reads it; the command line does, when no --tol is given."""
-    return float(os.environ.get("SO3FIVE_TOL", DEFAULT_TOL))
+    it is unset; ValueError when it is not a finite number >= 0.  The
+    library never reads it; the command line does, when no --tol is given."""
+    raw = os.environ.get("SO3FIVE_TOL")
+    try:
+        tol = DEFAULT_TOL if raw is None else float(raw)
+    except ValueError:
+        tol = math.nan
+    if math.isfinite(tol) and tol >= 0:
+        return tol
+    raise ValueError(f"SO3FIVE_TOL must be a finite number >= 0, not {raw!r}")
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -607,13 +614,17 @@ def rref(rows, tol: float = DEFAULT_TOL):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns).
 
     Pivots are chosen by float magnitude; a float entry counts as zero when
-    its magnitude is at most tol * (max row norm of the input).
+    its magnitude is at most tol * (max row norm of the input).  Rows are
+    held as {column: entry} without their exact zeros, so a row operation
+    visits only the pivot row's entries.
     """
-    rows = [list(r) for r in rows]
     if not rows or not rows[0]:
-        return rows, []
-    scale = _matrix_scale(rows)
-    m, n = len(rows), len(rows[0])
+        return [list(r) for r in rows], []
+    n, zero = len(rows[0]), _zero_like(rows[0][0])
+    rows = [{c: x for c, x in enumerate(r) if not (x.is_exact and x.is_zero())}
+            for r in rows]
+    scale = _matrix_scale(r.values() for r in rows)
+    m = len(rows)
     pivots = []
     r = 0
     for col in range(n):
@@ -621,8 +632,8 @@ def rref(rows, tol: float = DEFAULT_TOL):
             break
         best_i, best_m = -1, 0.0
         for i in range(r, m):
-            x = rows[i][col]
-            if _negligible(x, scale, tol):
+            x = rows[i].get(col)
+            if x is None or _negligible(x, scale, tol):
                 continue
             mg = _mag(x)
             if mg > best_m:
@@ -631,17 +642,22 @@ def rref(rows, tol: float = DEFAULT_TOL):
             continue
         rows[r], rows[best_i] = rows[best_i], rows[r]
         piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
+        rows[r] = pivot_row = {c: x / piv for c, x in rows[r].items()}
         for i in range(m):
-            if i == r:
+            row = rows[i]
+            f = row.get(col)
+            if i == r or f is None or _negligible(f, scale, tol):
                 continue
-            f = rows[i][col]
-            if _negligible(f, scale, tol):
-                continue
-            rows[i] = [xi - f * xr for xi, xr in zip(rows[i], rows[r])]
+            for c, xr in pivot_row.items():
+                # zero - f*xr, not -(f*xr): a float zero keeps its sign
+                x = row.get(c, zero) - f * xr
+                if x.is_exact and x.is_zero():
+                    del row[c]
+                else:
+                    row[c] = x
         pivots.append(col)
         r += 1
-    return rows, pivots
+    return [[row.get(c, zero) for c in range(n)] for row in rows], pivots
 
 
 def rank(rows, tol: float = DEFAULT_TOL) -> int:

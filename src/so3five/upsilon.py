@@ -122,28 +122,30 @@ class TernaryForm:
 
     def transform(self, frame) -> "TernaryForm":
         """Coefficients in the new orthonormal frame: Y'(i,j,k) = Y(e_i,e_j,e_k),
-        where frame is the list of five vectors e_i."""
+        where frame is the list of five vectors e_i, with float entries.
+
+        Each coefficient sums ((e_il e_jm) e_kn) Y_lmn left to right in
+        (l, m, n) order, leaving out the terms with |e_il| or |e_jm| at most
+        DEFAULT_TOL, and is kept when its magnitude exceeds DEFAULT_TOL."""
+        import numpy as np
+
         H = [[scalar(x) for x in e] for e in frame]
-        dense = self.dense()
-        out = {}
-        for i in range(5):
-            for j in range(i, 5):
-                for k in range(j, 5):
-                    acc = Scalar(0)
-                    for l in range(5):
-                        hl = H[i][l]
-                        if hl.is_zero():
-                            continue
-                        for m in range(5):
-                            hm = H[j][m]
-                            if hm.is_zero():
-                                continue
-                            for n in range(5):
-                                acc = acc + hl * hm * H[k][n] * dense[l][m][n]
-                    if not acc.is_zero():
-                        out[(i + 1, j + 1, k + 1)] = acc
+        if any(h.is_exact for e in H for h in e):
+            raise TypeError("transform takes a frame with float entries")
+        H = np.array([[float(h) for h in e] for e in H])
+        A = np.where(np.abs(H) > DEFAULT_TOL, H, 0.0)
+        keys = [(i, j, k) for i in range(5) for j in range(i, 5)
+                for k in range(j, 5)]
+        i, j, k = np.array(keys).T
+        # np.sum adds pairwise and einsum in its own order; cumsum adds in
+        # sequence, so each float sum is the one the term order gives
+        terms = A[i][:, :, None, None] * A[j][:, None, :, None] \
+            * H[k][:, None, None, :] * self.to_float_array()
+        sums = np.cumsum(terms.reshape(len(keys), 125), axis=1)[:, -1]
         f = TernaryForm()
-        f.entries = out
+        f.entries = {(a + 1, b + 1, c + 1): Scalar.from_float(v)
+                     for (a, b, c), v in zip(keys, sums.tolist())
+                     if abs(v) > DEFAULT_TOL}
         return f
 
     def __repr__(self):

@@ -11,6 +11,13 @@ Fiber functions (``twistor.FiberFunction``, a polynomial in z and zbar over
 a power of 1 + z zbar) are checked the same way against sympy polynomials
 in z and zbar over that complex field, with z and zbar independent
 variables, as the Wirtinger derivatives treat them.
+
+The linear algebra (``rref``, ``rank`` and ``nullspace``) is checked on
+seeded sparse exact matrices against sympy's ``DomainMatrix`` over the same
+real field, whose reduced row echelon form is unique.  On float matrices,
+where the pivot order and the rounding are the algorithm's own, it is
+checked bit for bit against the dense elimination that the sparse one
+replaced.
 """
 
 import random
@@ -18,8 +25,21 @@ from fractions import Fraction
 
 import pytest
 from sympy import QQ, I, Rational, ring, sign, sqrt, sympify
+from sympy.polys.matrices import DomainMatrix
 
-from so3five.scalar import CScalar, Scalar
+from so3five.repr import kernel_basis, upsilon_prime_matrix
+from so3five.scalar import (
+    DEFAULT_TOL,
+    CScalar,
+    Scalar,
+    _mag,
+    _matrix_scale,
+    _negligible,
+    nullspace,
+    rank,
+    rref,
+)
+from so3five.upsilon import E_matrices, stabilizer, standard_upsilon
 from so3five.twistor import FiberFunction
 
 K = QQ.algebraic_field(sqrt(3))
@@ -357,3 +377,104 @@ def test_fiber_eval():
                             / (1 + z * zbar) ** k).evalf(30))
             got = f.eval(complex(z))
             assert abs(got - want) <= 1e-12 * (1 + abs(want)), (data, z)
+
+
+# -- linear algebra -----------------------------------------------------------
+
+
+def _sparse_matrix(rng):
+    """An exact matrix of up to 12 x 12 with 10-40% nonzero entries, some
+    rows being combinations of others."""
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
+    density = rng.uniform(0.1, 0.4)
+    rows = [[Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+             if rng.random() < density else Scalar(0) for _ in range(n)]
+            for _ in range(m)]
+    for i in rng.sample(range(m), rng.randint(0, m // 2)):
+        j, k = rng.randrange(m), rng.randrange(m)
+        c = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+        rows[i] = [x + c * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+def to_domain(rows):
+    return DomainMatrix([[to_k(x) for x in r] for r in rows],
+                        (len(rows), len(rows[0])), K)
+
+
+def test_exact_rref_rank_and_nullspace_match_sympy():
+    rng = random.Random(20261020)
+    for _ in range(60):
+        rows = _sparse_matrix(rng)
+        n = len(rows[0])
+        want, want_pivots = to_domain(rows).rref()
+        red, pivots = rref(rows)
+        assert tuple(pivots) == want_pivots
+        assert [[to_k(x) for x in r] for r in red] == want.to_list()
+        assert all(x.is_exact for r in red for x in r)
+        assert rank(rows) == len(want_pivots)
+        # the kernel basis read off the unique reduced form, and A v = 0
+        free = [c for c in range(n) if c not in want_pivots]
+        basis = nullspace(rows)
+        assert len(basis) == len(free)
+        a = to_domain(rows)
+        for v, f in zip(basis, free):
+            assert [to_k(x) for x in v] == [
+                K.one if c == f else -want[want_pivots.index(c), f].element
+                if c in want_pivots else K.zero for c in range(n)]
+            assert (a * to_domain([[x] for x in v])).is_zero_matrix
+
+
+def test_ranks_of_the_structure_matrices():
+    stab = [sum(X, []) for X in stabilizer(standard_upsilon())]
+    spans = [(upsilon_prime_matrix(), 25),
+             ([b.to_vector() for b in kernel_basis()], 25),
+             (stab + [sum(E, []) for E in E_matrices()], 3)]
+    for rows, want in spans:
+        assert rank(rows) == want
+        assert to_domain(rows).rank() == want
+
+
+def dense_rref(rows, tol=DEFAULT_TOL):
+    """The dense Gauss-Jordan elimination that rref's sparse rows replaced:
+    every entry of the pivot row, exact zeros included, in each row
+    operation."""
+    rows = [list(r) for r in rows]
+    scale = _matrix_scale(rows)
+    m, n = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r >= m:
+            break
+        best_i, best_m = -1, 0.0
+        for i in range(r, m):
+            x = rows[i][col]
+            if _negligible(x, scale, tol):
+                continue
+            if _mag(x) > best_m:
+                best_i, best_m = i, _mag(x)
+        if best_i < 0:
+            continue
+        rows[r], rows[best_i] = rows[best_i], rows[r]
+        piv = rows[r][col]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(m):
+            f = rows[i][col]
+            if i == r or _negligible(f, scale, tol):
+                continue
+            rows[i] = [xi - f * xr for xi, xr in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def test_float_rref_is_the_dense_elimination_bit_for_bit():
+    rng = random.Random(20261021)
+    for trial in range(80):
+        rows = [[float(x) for x in r] for r in _sparse_matrix(rng)]
+        if trial % 2:  # dependent rows leave residuals near the tolerance
+            rows.append([x + 1e-12 * rng.random() for x in rows[0]])
+        rows = [[Scalar.from_float(x) for x in r] for r in rows]
+        assert repr(rref(rows)) == repr(dense_rref(rows))

@@ -316,6 +316,63 @@ def random_so5(rng):
     return Q
 
 
+def transform_reference(y, frame):
+    """Y'(i,j,k) = Y(e_i,e_j,e_k) as a loop over Scalars: the terms, their
+    order and the skipped ones that TernaryForm.transform reproduces."""
+    H = [[scalar(x) for x in e] for e in frame]
+    dense = y.dense()
+    out = {}
+    for i in range(5):
+        for j in range(i, 5):
+            for k in range(j, 5):
+                acc = Scalar(0)
+                for l in range(5):
+                    hl = H[i][l]
+                    if hl.is_zero():
+                        continue
+                    for m in range(5):
+                        hm = H[j][m]
+                        if hm.is_zero():
+                            continue
+                        for n in range(5):
+                            acc = acc + hl * hm * H[k][n] * dense[l][m][n]
+                if not acc.is_zero():
+                    out[(i + 1, j + 1, k + 1)] = acc
+    return out
+
+
+def test_transform_matches_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    frames = [random_so5(rng) for _ in range(50)]
+    # entries of +-5e-10 are at most DEFAULT_TOL, so the loop skips the
+    # terms they lead; the identity makes products of exact zeros
+    small = random_so5(rng)
+    small[1, 2], small[3, 0], small[0, 4] = 5e-10, -5e-10, 5e-10
+    frames += [small, np.eye(5)]
+    pyrng = random.Random(21)
+    other = TernaryForm({(i, j, k): Scalar.exact(pyrng.randint(-3, 3),
+                                                 pyrng.randint(-2, 2))
+                         for i in range(1, 6) for j in range(i, 6)
+                         for k in range(j, 6) if pyrng.random() < 0.4})
+    cases = [(standard_upsilon(), Q) for Q in frames] \
+        + [(other, Q) for Q in frames[-4:]]
+    for y, Q in cases:
+        frame = [list(map(float, Q[i])) for i in range(5)]
+        # repr shows every float bit, the key types and the entry order
+        assert repr(y.transform(frame).entries) == \
+            repr(transform_reference(y, frame))
+
+
+def test_transform_rejects_an_exact_frame():
+    y = standard_upsilon()
+    with pytest.raises(TypeError):
+        y.transform([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+    frame = [[float(i == j) for j in range(5)] for i in range(5)]
+    frame[2][3] = scalar(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        y.transform(frame)
+
+
 def test_adapt_frame_recovers_canonical():
     y = standard_upsilon()
     rng = np.random.default_rng(42)
