@@ -6,13 +6,18 @@ survive, whether the metric Ricci tensor is proportional to the metric,
 and the dimension of the space of parallel spinors.
 """
 
+import sys
+
 from so3five.catalog import CATALOG, build_entry
 from so3five.connection import build_report
 from so3five.repr import Tensor2
 from so3five.scalar import get_tol
 from so3five.spin import spinor_obstruction
 
-TOL = get_tol()
+try:
+    TOL = get_tol()
+except ValueError as e:
+    sys.exit(f"error: {e}")
 
 
 def torsion_class(rep):

@@ -10,6 +10,7 @@ direct residual computation.
 """
 
 import random
+import sys
 
 from so3five.catalog import (
     flat_char_model,
@@ -21,7 +22,10 @@ from so3five.scalar import get_tol
 from so3five.spin import spinor_obstruction
 from so3five.twistor import cr_residuals, predicted_verdict
 
-TOL = get_tol()
+try:
+    TOL = get_tol()
+except ValueError as e:
+    sys.exit(f"error: {e}")
 
 rng = random.Random(23)
 free = [rng.randint(-3, 3) for _ in range(6)] + [rng.randint(1, 4)]

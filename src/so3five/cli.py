@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 
@@ -654,17 +653,15 @@ def _build_parser():
 def _checked_tol(flag):
     """--tol, else SO3FIVE_TOL, else 1e-9; None, after one line on stderr,
     when that is not a finite number >= 0."""
-    source = "SO3FIVE_TOL" if flag is None else "--tol"
     try:
         tol = get_tol() if flag is None else flag
-    except ValueError:
-        tol = math.nan
-    if math.isfinite(tol) and tol >= 0:
-        return tol
-    value = flag if flag is not None else os.environ["SO3FIVE_TOL"]
-    print(f"error: {source} must be a finite number >= 0, not {value!r}",
-          file=sys.stderr)
-    return None
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(
+                f"--tol must be a finite number >= 0, not {flag!r}")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None
+    return tol
 
 
 def main(argv=None) -> int:
