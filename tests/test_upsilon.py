@@ -345,7 +345,7 @@ def test_transform_matches_the_scalar_loop_bit_for_bit():
     rng = np.random.default_rng(21)
     frames = [random_so5(rng) for _ in range(50)]
     # entries of +-5e-10 are at most DEFAULT_TOL, so the loop skips the
-    # terms they lead; the identity makes products of exact zeros
+    # terms they lead; the identity's zeros make signed-zero terms
     small = random_so5(rng)
     small[1, 2], small[3, 0], small[0, 4] = 5e-10, -5e-10, 5e-10
     frames += [small, np.eye(5)]
