@@ -344,6 +344,15 @@ def test_bianchi_detects_corrupted_curvature():
     assert res["first"] > 0.1
 
 
+def test_second_bianchi_detects_corrupted_curvature():
+    model = torsion_free_bundle(1)
+    gamma, T = characteristic_connection(model)
+    r_forms, _ = curvature(model, gamma)
+    bad = [r_forms[0] + model.basis(1, 2), r_forms[1], r_forms[2]]
+    res = bianchi_check(model, gamma, T, bad)
+    assert res["second"] > 0.1
+
+
 # -- Weyl -------------------------------------------------------------------
 
 
