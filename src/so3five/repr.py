@@ -349,8 +349,15 @@ def upsilon_grave(S: Tensor2):
 
 
 def upsilon_bar(v) -> Tensor2:
-    """The symmetric matrix of contraction against a vector."""
-    return Tensor2(standard_upsilon().matrix_of([scalar(c) for c in v]))
+    """The symmetric matrix Y_ijk v_k of contraction against a vector.  An
+    exact zero Y_ijk is skipped only when every v_k is exact, because its
+    product with a float is a float 0.0."""
+    v = [scalar(c) for c in v]
+    d = _dense_upsilon()
+    exact = all(c.is_exact for c in v)
+    return Tensor2([[sum((d[i][j][k] * v[k] for k in range(N)
+                          if not (exact and d[i][j][k].is_zero())), Scalar(0))
+                     for j in range(N)] for i in range(N)])
 
 
 def upsilon_check(S: Tensor2) -> Tensor2:

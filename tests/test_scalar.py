@@ -186,14 +186,15 @@ def test_float_of_an_exact_beyond_double_range_saturates():
 def test_env_var_sets_tolerance():
     # Minimal environment, so no outer SO3FIVE_TOL leaks in; PYTHONPATH
     # points the child at the same so3five the parent imported, whether
-    # it comes from a source tree or an installed package.
+    # it comes from a source tree or an installed package, and the child
+    # writes no bytecode cache into that tree.
     code = "import so3five.scalar as s; print(s.get_tol())"
     pkg_root = os.path.dirname(os.path.dirname(so3five.__file__))
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True,
         env={"SO3FIVE_TOL": "0.001", "PATH": "/usr/bin:/bin",
-             "PYTHONPATH": pkg_root},
+             "PYTHONPATH": pkg_root, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "0.001"
