@@ -21,6 +21,7 @@ from .repr import (
     ConnTensor,
     CurvTensor,
     Tensor2,
+    _e_support,
     decompose_curvature,
     form_array,
     split_connection,
@@ -29,7 +30,6 @@ from .repr import (
     upsilon_prime,
 )
 from .scalar import DEFAULT_TOL, CScalar, Scalar, cscalar, scalar, sqrt3
-from .upsilon import E_matrices
 
 N = 5
 
@@ -65,16 +65,6 @@ class So3Connection:
     def from_coeffs(cls, model, coeffs):
         """coeffs[I][k] are the theta^k coefficients of gamma^I."""
         return cls(model, [_one_form(model, row) for row in coeffs])
-
-    def matrix_entry(self, i, j) -> Form:
-        """The (i, j) entry of gamma^I E_I as a 1-form."""
-        E = E_matrices()
-        out = self.model.zero(1)
-        for t in range(3):
-            c = E[t][i][j]
-            if not c.is_zero():
-                out = out + self.gammas[t] * c
-        return out
 
 
 # -- stages computed once per model and tolerance ---------------------------
@@ -144,12 +134,13 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
 def _bundle_torsion_tensor(model: CoframeModel):
     """Dense T_ijk from the 2-forms d theta^i + Gamma^i_j ^ theta^j of the
     declared connection Gamma."""
-    gamma = So3Connection(model, [model.gamma(t + 1) for t in range(3)])
+    support, gammas = _e_support(), [model.gamma(t + 1) for t in range(3)]
     x = []
     for i in range(N):
         Ti = model.d_of(i + 1)
         for j in range(N):
-            Ti = Ti + wedge(gamma.matrix_entry(i, j), model.basis(j + 1))
+            for t, e in support[i][j]:
+                Ti = Ti + wedge(gammas[t] * e, model.basis(j + 1))
         if Ti.has_fiber_legs():
             raise ModelError(
                 "declared connection does not absorb the vertical part of "
@@ -229,12 +220,12 @@ def curvature(model: CoframeModel, gamma: So3Connection):
 
 
 def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
-    """Residuals of the two differential consistency identities."""
-    E = E_matrices()
-    conn = [[gamma.matrix_entry(i, j) for j in range(N)] for i in range(N)]
-    curv = [[sum((r_forms[t] * E[t][i][j] for t in range(3)
-                  if not E[t][i][j].is_zero()), model.zero(2))
-             for j in range(N)] for i in range(N)]
+    """Residuals of the two Bianchi identities: the first,
+    d T^i + Gamma^i_j ^ T^j = R^i_j ^ theta^j with Gamma = gamma^I E_I and
+    R = r^I E_I, over the nonzero (E_I)_ij; the second in the adjoint
+    representation, d r^I + eps^I_JK gamma^J ^ r^K = 0."""
+    support = _e_support()
+    g = gamma.gammas
     dense = form_array(T)
     tors = [model.form(2, [((j + 1, k + 1), dense[i][j][k]) for j, k in PAIRS])
             for i in range(N)]
@@ -242,36 +233,33 @@ def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
     for i in range(N):
         res = ext_d(tors[i])
         for j in range(N):
-            res = res + wedge(conn[i][j], tors[j])
+            for t, e in support[i][j]:
+                res = res + wedge(g[t] * e, tors[j])
         for j in range(N):
-            res = res - wedge(curv[i][j], model.basis(j + 1))
+            for t, e in support[i][j]:
+                res = res - wedge(r_forms[t] * e, model.basis(j + 1))
         first = max(first, res.max_coeff_mag())
-    second = 0.0
-    for i in range(N):
-        for j in range(N):
-            DK = ext_d(curv[i][j])
-            for k in range(N):
-                DK = DK + wedge(conn[i][k], curv[k][j])
-                DK = DK - wedge(curv[i][k], conn[k][j])
-            second = max(second, DK.max_coeff_mag())
+    second = max((ext_d(r_forms[a]) + wedge(g[b], r_forms[c])
+                  - wedge(g[c], r_forms[b])).max_coeff_mag()
+                 for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     return {"first": first, "second": second}
 
 
 # -- Ricci tensors ----------------------------------------------------------
 
 
-def _lc_riemann(model: CoframeModel, xi: ConnTensor):
-    """Riemann tensor of the Levi-Civita connection xi on a base model."""
+def _lc_riemann(model: CoframeModel, xi: ConnTensor) -> CurvTensor:
+    """Riemann tensor of the Levi-Civita connection xi on a base model: its
+    curvature 2-forms d xi_ij + xi_ik ^ xi_kj, i < j."""
     gamma_forms = [[_one_form(model, xi.x[i][j]) for j in range(N)]
                    for i in range(N)]
-    R = [[None] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            f = ext_d(gamma_forms[i][j])
-            for k in range(N):
-                f = f + wedge(gamma_forms[i][k], gamma_forms[k][j])
-            R[i][j] = form_array(f)
-    return CurvTensor(R)
+    forms = []
+    for i, j in PAIRS:
+        f = ext_d(gamma_forms[i][j])
+        for k in range(N):
+            f = f + wedge(gamma_forms[i][k], gamma_forms[k][j])
+        forms.append(f)
+    return CurvTensor.from_pair_forms(forms)
 
 
 @stage
@@ -344,23 +332,13 @@ def weyl(model: CoframeModel, tol=DEFAULT_TOL):
     third = scalar(Fraction(1, 3))
     eighth = scalar(Fraction(1, 8))
     P = (ric - Tensor2.metric().scale(s * eighth)).scale(third)
-    x = [[[[Scalar(0) for _ in range(N)] for _ in range(N)]
-          for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    kn = Scalar(0)
-                    if i == k:
-                        kn = kn + P.m[j][l]
-                    if j == l:
-                        kn = kn + P.m[i][k]
-                    if i == l:
-                        kn = kn - P.m[j][k]
-                    if j == k:
-                        kn = kn - P.m[i][l]
-                    x[i][j][k][l] = riem.x[i][j][k][l] - kn
-    W = CurvTensor(x)
+    g = Tensor2.metric().m
+    # W = Riem - P (Kulkarni-Nomizu) g, one 2-form per pair i < j
+    W = CurvTensor.from_pair_forms([model.form(2, [
+        ((k + 1, l + 1), riem.x[i][j][k][l]
+         - (g[i][k] * P.m[j][l] + g[j][l] * P.m[i][k]
+            - g[i][l] * P.m[j][k] - g[j][k] * P.m[i][l])) for k, l in PAIRS])
+        for i, j in PAIRS])
     return {
         "weyl": W,
         "riemann": riem,

@@ -14,14 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .exterior import Form, hodge_star, sort_indices
+from .exterior import Form, hodge_star, sort_indices, wedge
 from .scalar import DEFAULT_TOL, Scalar, dot, rref, scalar
 from .upsilon import E_matrices, standard_upsilon
 
 N = 5
 PAIRS = list(combinations(range(N), 2))
 TRIPLES = list(combinations(range(N), 3))
-QUADS = list(combinations(range(N), 4))
 SYM4_KEYS = list(combinations_with_replacement(range(N), 4))
 
 COMPONENT_DIMS = {"c1": 1, "c3": 3, "c7": 7, "c5": 5, "c9": 9}
@@ -64,6 +63,17 @@ def _e_support():
     E = E_matrices()
     return [[[(t, E[t][i][j]) for t in range(3) if not E[t][i][j].is_zero()]
              for j in range(N)] for i in range(N)]
+
+
+@lru_cache(maxsize=1)
+def _pair_support():
+    """For each (i, j), the nonzero entry (p, +-1) of the unit skew matrix
+    e_ab - e_ba, (a, b) = PAIRS[p]; none on the diagonal."""
+    out = [[[] for _ in range(N)] for _ in range(N)]
+    for p, (a, b) in enumerate(PAIRS):
+        out[a][b].append((p, Scalar(1)))
+        out[b][a].append((p, Scalar(-1)))
+    return out
 
 
 def form_array(form: Form):
@@ -244,71 +254,88 @@ class ConnTensor(_Dense):
         return (v for plane in self.x for row in plane for v in row)
 
 
-class CurvTensor(_Dense):
-    """Curvature tensor K_ijkl, antisymmetric in (ij) and in (kl)."""
+class CurvTensor:
+    """Curvature K_ijkl = sum_a (A_a)_ij (rho^a)_kl of 2-forms rho^a against
+    skew 5x5 matrices A_a with disjoint supports.
 
-    __slots__ = ("x",)
+    The characteristic curvature pairs the three r^I with the E_I, so it lies
+    in so(3) (x) Lambda^2; a Levi-Civita or Weyl tensor has one form per
+    entry of PAIRS, against the unit skew matrices.  Every quantity is read
+    off the forms; the dense array x is built on first read.
+    """
 
-    def __init__(self, entries):
-        x = [[[[scalar(entries[i][j][k][l]) for l in range(N)]
-               for k in range(N)] for j in range(N)] for i in range(N)]
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    for l in range(N):
-                        if not (x[i][j][k][l] + x[j][i][k][l]).is_zero():
-                            raise ValueError("not antisymmetric in (ij)")
-                        if not (x[i][j][k][l] + x[i][j][l][k]).is_zero():
-                            raise ValueError("not antisymmetric in (kl)")
-        self.x = x
+    __slots__ = ("forms", "support", "_x")
+
+    def __init__(self, forms, support):
+        self.forms, self.support, self._x = list(forms), support, None
 
     @classmethod
     def from_forms(cls, r_forms):
-        """K_ijkl = sum_I (E_I)_ij (r^I)_kl with plain 2-form coefficients."""
+        """K = sum_I E_I (x) r^I."""
         if len(r_forms) != 3:
             raise ValueError("need three curvature 2-forms")
-        E = E_matrices()
-        support = _e_support()
-        R = [Tensor2.from_form(f).m for f in r_forms]
-        x = [[[[None] * N for _ in range(N)] for _ in range(N)]
-             for _ in range(N)]
-        for k in range(N):
-            for l in range(N):
-                r = [R[t][k][l] for t in range(3)]
-                # a product of an exact zero with a float is a float 0.0,
-                # which makes the sum a float: such a column keeps every term
-                full = not all(v.is_exact for v in r)
-                for i in range(N):
-                    for j in range(N):
-                        terms = ((E[t][i][j] * r[t] for t in range(3)) if full
-                                 else (e * r[t] for t, e in support[i][j]))
-                        x[i][j][k][l] = sum(terms, Scalar(0))
-        obj = cls.__new__(cls)
-        obj.x = x
-        return obj
+        return cls(r_forms, _e_support())
+
+    @classmethod
+    def from_pair_forms(cls, forms):
+        """K_ijkl = (rho^ij)_kl for i < j, one 2-form per entry of PAIRS."""
+        return cls(forms, _pair_support())
+
+    @property
+    def x(self):
+        """The dense K_ijkl, indexed from 0.  Where a float rho^a_kl makes
+        column (k, l) a float, an entry keeps the products by the zero
+        (A_a)_ij, each a float 0.0, as a dense sum does."""
+        if self._x is None:
+            R = [form_array(f) for f in self.forms]
+
+            def entry(i, j, k, l):
+                terms = dict(self.support[i][j])
+                floats = not all(r[k][l].is_exact for r in R)
+                return sum((terms.get(a, Scalar(0)) * R[a][k][l]
+                            for a in (range(len(R)) if floats else terms)),
+                           Scalar(0))
+            self._x = [[[[entry(i, j, k, l) for l in range(N)]
+                         for k in range(N)] for j in range(N)] for i in range(N)]
+        return self._x
 
     def ricci(self):
-        """k_jl = K_ijil."""
-        return Tensor2([[sum((self.x[i][j][i][l] for i in range(N)), Scalar(0))
+        """k_jl = K_ijil, summed over the nonzero (A_a)_ij."""
+        R = [form_array(f) for f in self.forms]
+        return Tensor2([[sum((e * R[a][i][l] for i in range(N)
+                              for a, e in self.support[i][j]), Scalar(0))
                          for l in range(N)] for j in range(N)])
 
-    def total_antisym_dual(self):
-        """The totally antisymmetric part, star-dualized to a covector."""
-        out = [Scalar(0)] * N
-        for q in QUADS:
-            acc = Scalar(0)
-            for p in permutations(range(4)):
-                idx = tuple(q[t] for t in p)
-                acc = acc + scalar(sort_indices(p)[1]) * \
-                    self.x[idx[0]][idx[1]][idx[2]][idx[3]]
-            a = acc * scalar(Fraction(1, 24))
-            m = next(t for t in range(N) if t not in q)
-            out[m] = scalar(sort_indices(q + (m,))[1]) * a
-        return out
+    def norm_sq(self):
+        """|K|^2 = 2 sum_a |A_a|^2 sum_(k<l) (rho^a_kl)^2, the A_a having
+        disjoint supports; for the E_I, 10 sum_I |r^I|^2."""
+        weight = [sum((e * e for row in self.support for terms in row
+                       for b, e in terms if b == a), Scalar(0))
+                  for a in range(len(self.forms))]
+        return Scalar(2) * sum((w * sum((v * v for v in f.terms.values()),
+                                        Scalar(0))
+                                for w, f in zip(weight, self.forms)), Scalar(0))
 
-    def entries(self):
-        return (v for block in self.x for plane in block for row in plane
-                for v in row)
+    def total_skew_dual(self):
+        """The totally skew part of K, star-dualized to five coefficients:
+        the star of (sum_a alpha_a ^ rho^a) / 6, alpha_a the 2-form of A_a
+        (kappa_I for E_I)."""
+        model = self.forms[0].model
+        alphas = [Form(model, 2, [((i + 1, j + 1), e) for i, j in PAIRS
+                                  for b, e in self.support[i][j] if b == a])
+                  for a in range(len(self.forms))]
+        four = sum((wedge(al, f) for al, f in zip(alphas, self.forms)),
+                   Form(model, 4))
+        star = hodge_star(four * scalar(Fraction(1, 6)))
+        return [star.coeff((m + 1,)) for m in range(N)]
+
+    @property
+    def is_exact(self):
+        return all(f.is_exact for f in self.forms)
+
+    def is_zero(self, tol=DEFAULT_TOL):
+        """K vanishes exactly when every rho^a does."""
+        return all(f.is_zero(tol) for f in self.forms)
 
 
 # -- the hat operator and the five-fold splitting of two-tensors -----------
@@ -532,34 +559,16 @@ def decompose_curvature(K: CurvTensor, tol=DEFAULT_TOL):
     """
     k = K.ricci()
     c1 = k.trace()
-    parts = decompose_t2(k)
-    c15 = K.total_antisym_dual()
-    comps = {
-        "c1": c1,
-        "c3": parts["c3"],
-        "c7": parts["c7"],
-        "c5": parts["c5"],
-        "c9": parts["c9"],
-        "c15": c15,
-    }
-    norms_sq = {
-        "c1": c1 * c1,
-        "c3": parts["c3"].norm_sq(),
-        "c7": parts["c7"].norm_sq(),
-        "c5": parts["c5"].norm_sq(),
-        "c9": parts["c9"].norm_sq(),
-        "c15": sum((v * v for v in c15), Scalar(0)),
-    }
-    total = float(K.norm_sq()) ** 0.5
-    present = {}
-    norms = {}
-    for name, nsq in norms_sq.items():
-        norms[name] = float(nsq) ** 0.5
-        if K.is_exact:
-            present[name] = not nsq.is_zero()
-        else:
-            present[name] = norms[name] > tol * max(total, 1.0)
-    comps["present"] = present
+    comps = {**decompose_t2(k), "c1": c1, "c15": K.total_skew_dual()}
+    norms_sq = {"c1": c1 * c1,
+                **{n: comps[n].norm_sq() for n in ("c3", "c7", "c5", "c9")},
+                "c15": sum((v * v for v in comps["c15"]), Scalar(0))}
+    norms = {name: float(nsq) ** 0.5 for name, nsq in norms_sq.items()}
+    if K.is_exact:
+        comps["present"] = {n: not nsq.is_zero() for n, nsq in norms_sq.items()}
+    else:
+        bound = tol * max(float(K.norm_sq()) ** 0.5, 1.0)
+        comps["present"] = {n: norm > bound for n, norm in norms.items()}
     comps["norms"] = norms
     return comps
 

@@ -322,8 +322,7 @@ def so3_violation(K: CurvTensor):
 
 
 def test_curvature_zero():
-    zero = [[[[0] * 5 for _ in range(5)] for _ in range(5)] for _ in range(5)]
-    out = decompose_curvature(CurvTensor(zero))
+    out = decompose_curvature(CurvTensor.from_forms([FLAT.zero(2)] * 3))
     assert not any(out["present"].values())
 
 
@@ -386,13 +385,9 @@ def test_curvature_from_forms_matches_the_dense_sum_on_floats():
 
 
 def test_curvature_so3_violation_detected():
-    x = [[[[Scalar(0) for _ in range(5)] for _ in range(5)]
-          for _ in range(5)] for _ in range(5)]
-    for (i, j) in ((0, 1), (1, 0)):
-        s = scalar(1 if i < j else -1)
-        for (k, l) in ((0, 1), (1, 0)):
-            x[i][j][k][l] = s * scalar(1 if k < l else -1)
-    K = CurvTensor(x)
+    # K_ijkl = 1 on (ij) = (kl) = (01), antisymmetric in each pair
+    forms = [FLAT.basis(1, 2) if p == (0, 1) else FLAT.zero(2) for p in PAIRS]
+    K = CurvTensor.from_pair_forms(forms)
     assert so3_violation(K) > 0.1
 
 
