@@ -30,7 +30,6 @@ from so3five.scalar import Scalar
 from so3five.upsilon import E_matrices
 
 TOL = 1e-9
-N = 5
 
 
 def to_f(x):
