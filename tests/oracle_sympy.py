@@ -27,11 +27,15 @@ From these it derives, with its own exterior calculus:
   with the squared norm of each
 - both Bianchi identities in the 5x5 matrix representation, as residual
   forms
+- the torsion 3-form T_abc, checked totally skew, and the split of its
+  star, a skew 5x5 matrix, into the orthogonal projection onto the span of
+  the E_I (by a Gram solve) and the rest: the classes t3 and t7
 """
 
 from itertools import combinations, permutations
 
 from sympy import QQ, sqrt
+from sympy.polys.matrices import DomainMatrix
 
 F = QQ.algebraic_field(sqrt(3))
 N = 5
@@ -241,6 +245,41 @@ class Oracle:
                       *((-F.one, wedge(R[i][k], G[k][j])) for k in range(N)))
                   for i in range(N) for j in range(N)]
         return first, second
+
+    # -- the torsion classes
+
+    def torsion_form(self):
+        """The 3-form with T_abc, a < b < c, the theta^bc coefficient of
+        T^a; every T^i_jk must equal its T_ijk."""
+        T = {(a + 1, b + 1, c + 1): v for a, b, c in combinations(range(N), 3)
+             for v in [coeff(self.torsion[a], (b + 1, c + 1))] if v}
+        assert all(coeff(self.torsion[i], (j + 1, k + 1))
+                   == coeff(T, (i + 1, j + 1, k + 1)) for i in range(N)
+                   for j in range(N) for k in range(N)), "T is not skew"
+        assert all(max(legs) <= N for f in self.torsion for legs in f)
+        return T
+
+    def torsion_split(self):
+        """(t3, t7) as 2-forms: the star of T as a skew matrix W, split
+        into its projection sum_I c_I E_I onto the span of the E_I, with
+        sum_J <E_I, E_J> c_J = <E_I, W> solved over F, and W minus it."""
+        star = {}
+        for legs, v in self.torsion_form().items():
+            rest = tuple(i for i in range(1, N + 1) if i not in legs)
+            _put(star, rest, _parity(legs + rest) * v)
+        W = [[coeff(star, (i + 1, j + 1)) for j in range(N)] for i in range(N)]
+        E = self.E
+        gram = DomainMatrix([[_inner(Es, Et) for Et in E] for Es in E],
+                            (3, 3), F)
+        rhs = DomainMatrix([[_inner(Et, W)] for Et in E], (3, 1), F)
+        t3 = [[F.zero] * N for _ in range(N)]
+        for Et, (c,) in zip(E, gram.lu_solve(rhs).to_list()):
+            t3 = _plus(t3, Et, c)
+        t7 = _plus(W, t3, -F.one)
+        assert not _inner(t3, t7)
+        return tuple({(i + 1, j + 1): M[i][j]
+                      for i, j in combinations(range(N), 2) if M[i][j]}
+                     for M in (t3, t7))
 
 
 def _inner(A, B):

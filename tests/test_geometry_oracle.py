@@ -6,8 +6,8 @@ structure constants, the so(3) basis and the characteristic connection are
 handed to the oracle, which shares no arithmetic with so3five.  Everything
 the curvature half of a classify report prints must then agree exactly:
 the curvature forms r^I, the dense K_ijkl, both Ricci tensors, the six
-parts of the curvature type with their norms and presence flags, |K|^2 and
-both Bianchi residuals.
+parts of the curvature type with their norms and presence flags, |K|^2,
+both Bianchi residuals, and the torsion 3-form with its classes t3 and t7.
 """
 
 import math
@@ -87,6 +87,13 @@ def check(model):
     first, second = oracle.bianchi()
     assert rep.bianchi_residuals == {"first": max_residual(first),
                                      "second": max_residual(second)}
+    assert form_f(rep.torsion) == oracle.torsion_form()
+    t3, t7 = oracle.torsion_split()
+    if rep.torsion.is_zero():
+        assert rep.torsion_t3 is None and rep.torsion_t7 is None
+        assert t3 == t7 == {}
+    else:
+        assert (form_f(rep.torsion_t3), form_f(rep.torsion_t7)) == (t3, t7)
 
 
 def q(rng, lo=1, hi=6):
