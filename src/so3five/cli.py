@@ -16,6 +16,7 @@ the same setting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -608,7 +609,10 @@ def cmd_selftest(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The command-line parser, built on the first call to main and kept:
+    parse_args leaves it as it was."""
     p = _Parser(prog="so3five",
                 description="irreducible rotation-group structures on "
                             "5-dimensional geometries")

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
 from .repr import (
+    HALF,
     PAIRS,
     TRIPLES,
     ConnTensor,
@@ -29,9 +30,10 @@ from .repr import (
     torsion_type,
     upsilon_prime,
 )
-from .scalar import DEFAULT_TOL, CScalar, Scalar, cscalar, scalar, sqrt3
+from .scalar import DEFAULT_TOL, ZERO, CScalar, Scalar, cscalar, scalar, sqrt3
 
 N = 5
+QUARTER = Scalar(Fraction(1, 4))
 
 
 class StructureError(ValueError):
@@ -113,9 +115,8 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
         raise ModelError("Levi-Civita solver needs a base model (no fiber legs)")
     d_forms = [model.d_of(i + 1) for i in range(N)]
     c = [form_array(d) for d in d_forms]
-    half = scalar(Fraction(1, 2))
     xi = ConnTensor.from_pairs({
-        (i, j, k): half * (c[i][j][k] + c[j][k][i] - c[k][i][j])
+        (i, j, k): HALF * (c[i][j][k] + c[j][k][i] - c[k][i][j])
         for i, j in PAIRS for k in range(N)})
     # back-substitute to guard against convention slips
     for i in range(N):
@@ -262,6 +263,23 @@ def _lc_riemann(model: CoframeModel, xi: ConnTensor) -> CurvTensor:
     return CurvTensor.from_pair_forms(forms)
 
 
+def _torsion_square(T: Form) -> Tensor2:
+    """t_ij = sum_kl T_ikl T_jkl over the (k, l) that rows i and j share.  On
+    exact T a row holds its nonzero T_ikl, read off the terms of T; on float
+    T all 25, so each sum keeps the dense order and its float zeros."""
+    if T.is_exact:
+        rows = [{} for _ in range(N)]
+        for (a, b, c), v in T.terms.items():
+            for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+                rows[i - 1][j, k], rows[i - 1][k, j] = v, -v
+    else:
+        rows = [{(k, l): v for k, row in enumerate(plane)
+                 for l, v in enumerate(row)} for plane in form_array(T)]
+    return Tensor2._of([[sum((v * rj[key] for key, v in ri.items()
+                              if key in rj), ZERO) for rj in rows]
+                        for ri in rows])
+
+
 @stage
 def ricci(model: CoframeModel, tol=DEFAULT_TOL):
     """Both Ricci tensors, the relation residual, and torsion differentials."""
@@ -269,11 +287,7 @@ def ricci(model: CoframeModel, tol=DEFAULT_TOL):
     gamma, T = characteristic_connection(model, tol)
     r_forms, K = analysis.curvature
     ric_gamma = K.ricci()
-    dense = form_array(T)
-    quarter = scalar(Fraction(1, 4))
-    t_sq = Tensor2([[sum((dense[i][k][l] * dense[j][k][l]
-                          for k in range(N) for l in range(N)), Scalar(0))
-                     for j in range(N)] for i in range(N)])
+    t_sq = _torsion_square(T)
     dT = ext_d(T)
     if T.is_zero():
         star_T = model.zero(2)
@@ -287,8 +301,7 @@ def ricci(model: CoframeModel, tol=DEFAULT_TOL):
         sds = Tensor2.zero()
     else:
         sds = Tensor2.from_form(hodge_star(d_star_T))
-    half = scalar(Fraction(1, 2))
-    correction = t_sq.scale(quarter) + sds.scale(half)
+    correction = t_sq.scale(QUARTER) + sds.scale(HALF)
     if model.n_fiber == 0:
         ric_lc = analysis.lc_riemann.ricci()
         rel = (ric_lc - ric_gamma - correction).max_mag()

@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .exterior import Form, hodge_star, sort_indices, wedge
-from .scalar import DEFAULT_TOL, Scalar, dot, rref, scalar
+from .scalar import (DEFAULT_TOL, ONE, ZERO, Scalar, dot, is_exact_zero, rref,
+                     scalar)
 from .upsilon import E_matrices, standard_upsilon
 
 N = 5
@@ -24,6 +25,9 @@ TRIPLES = list(combinations(range(N), 3))
 SYM4_KEYS = list(combinations_with_replacement(range(N), 4))
 
 COMPONENT_DIMS = {"c1": 1, "c3": 3, "c7": 7, "c5": 5, "c9": 9}
+
+HALF, FIFTH, SIXTH, TENTH, FOURTEENTH = (Scalar(Fraction(1, n))
+                                         for n in (2, 5, 6, 10, 14))
 
 
 @lru_cache(maxsize=1)
@@ -93,6 +97,13 @@ def form_array(form: Form):
     return x
 
 
+def _plus(a, b, exact):
+    """a + b; when exact, a zero term gives the other without an addition."""
+    if exact and (is_exact_zero(a) or is_exact_zero(b)):
+        return b if is_exact_zero(a) else a
+    return a + b
+
+
 class _Dense:
     """Norm, exactness, zero test and largest magnitude over the entries of
     a dense tensor, in index order."""
@@ -100,7 +111,9 @@ class _Dense:
     __slots__ = ()
 
     def norm_sq(self):
-        return sum((v * v for v in self.entries()), Scalar(0))
+        exact = self.is_exact
+        return sum((v * v for v in self.entries()
+                    if not (exact and is_exact_zero(v))), ZERO)
 
     @property
     def is_exact(self):
@@ -114,22 +127,40 @@ class _Dense:
 
 
 class Tensor2(_Dense):
-    """Dense element of the 25-dimensional space of two-tensors on R^5."""
+    """Dense element of the 25-dimensional space of two-tensors on R^5.
+    Operations on exact operands leave out the arithmetic with an exact
+    zero; with a float operand they do all of it, as a dense loop does."""
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "_exact")
 
     def __init__(self, rows):
         if len(rows) != N or any(len(r) != N for r in rows):
             raise ValueError("Tensor2 needs a 5x5 array")
         self.m = [[scalar(x) for x in row] for row in rows]
+        self._exact = None
+
+    @classmethod
+    def _of(cls, rows, exact=False):
+        """The Tensor2 of a 5x5 array of Scalars, taken over unchecked;
+        exact=True when every entry is known to be exact."""
+        t = object.__new__(cls)
+        t.m, t._exact = rows, exact or None
+        return t
+
+    @property
+    def is_exact(self):
+        if self._exact is None:
+            self._exact = all(v.is_exact for row in self.m for v in row)
+        return self._exact
 
     @classmethod
     def zero(cls):
-        return cls([[0] * N for _ in range(N)])
+        return cls._of([[ZERO] * N for _ in range(N)], True)
 
     @classmethod
     def metric(cls):
-        return cls([[1 if i == j else 0 for j in range(N)] for i in range(N)])
+        return cls._of([[ONE if i == j else ZERO for j in range(N)]
+                        for i in range(N)], True)
 
     @classmethod
     def basis(cls, i, j):
@@ -143,27 +174,31 @@ class Tensor2(_Dense):
             raise ValueError("need a 2-form")
         if f.has_fiber_legs():
             raise ValueError("need a base 2-form")
-        return cls(form_array(f))
+        return cls._of(form_array(f))
 
     def to_form(self, model):
-        for i in range(N):
-            for j in range(N):
-                if not (self.m[i][j] + self.m[j][i]).is_zero():
-                    raise ValueError("matrix is not antisymmetric")
+        if not (self + self.transpose()).is_zero():
+            raise ValueError("matrix is not antisymmetric")
         terms = [((i + 1, j + 1), self.m[i][j]) for i, j in PAIRS]
         return Form(model, 2, terms)
 
     def __add__(self, other):
-        return Tensor2([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.m, other.m)])
+        exact = self.is_exact and other.is_exact
+        return Tensor2._of([[_plus(a, b, exact) for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.m, other.m)], exact)
 
     def __sub__(self, other):
-        return Tensor2([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.m, other.m)])
+        exact = self.is_exact and other.is_exact
+        return Tensor2._of([[_plus(a, -b, exact) for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.m, other.m)], exact)
 
     def scale(self, c):
         c = scalar(c)
-        return Tensor2([[c * a for a in row] for row in self.m])
+        exact = c.is_exact and self.is_exact
+        zero = exact and is_exact_zero(c)
+        return Tensor2._of([[ZERO if zero or exact and is_exact_zero(a)
+                             else c * a for a in row] for row in self.m],
+                           exact)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor2):
@@ -174,29 +209,28 @@ class Tensor2(_Dense):
     __hash__ = None
 
     def sym(self):
-        half = scalar(Fraction(1, 2))
-        return Tensor2([[half * (self.m[i][j] + self.m[j][i])
-                         for j in range(N)] for i in range(N)])
+        return (self + self.transpose()).scale(HALF)
 
     def alt(self):
-        half = scalar(Fraction(1, 2))
-        return Tensor2([[half * (self.m[i][j] - self.m[j][i])
-                         for j in range(N)] for i in range(N)])
+        return (self - self.transpose()).scale(HALF)
 
     def transpose(self):
-        return Tensor2([[self.m[j][i] for j in range(N)] for i in range(N)])
+        return Tensor2._of([[self.m[j][i] for j in range(N)]
+                            for i in range(N)], self._exact)
 
     def trace(self):
-        acc = Scalar(0)
+        acc = ZERO
         for i in range(N):
             acc = acc + self.m[i][i]
         return acc
 
     def inner(self, other):
-        acc = Scalar(0)
-        for i in range(N):
-            for j in range(N):
-                acc = acc + self.m[i][j] * other.m[i][j]
+        exact = self.is_exact and other.is_exact
+        acc = ZERO
+        for r1, r2 in zip(self.m, other.m):
+            for a, b in zip(r1, r2):
+                if not (exact and (is_exact_zero(a) or is_exact_zero(b))):
+                    acc = acc + a * b
         return acc
 
     def entries(self):
@@ -300,11 +334,16 @@ class CurvTensor:
         return self._x
 
     def ricci(self):
-        """k_jl = K_ijil, summed over the nonzero (A_a)_ij."""
+        """k_jl = K_ijil, summed over the nonzero (A_a)_ij and, when every
+        form is exact, over the nonzero rho^a_il."""
         R = [form_array(f) for f in self.forms]
-        return Tensor2([[sum((e * R[a][i][l] for i in range(N)
-                              for a, e in self.support[i][j]), Scalar(0))
-                         for l in range(N)] for j in range(N)])
+        exact = self.is_exact
+        return Tensor2._of([[sum((e * R[a][i][l] for i in range(N)
+                                  for a, e in self.support[i][j]
+                                  if not (exact
+                                          and is_exact_zero(R[a][i][l]))),
+                                 ZERO)
+                             for l in range(N)] for j in range(N)])
 
     def norm_sq(self):
         """|K|^2 = 2 sum_a |A_a|^2 sum_(k<l) (rho^a_kl)^2, the A_a having
@@ -326,7 +365,7 @@ class CurvTensor:
                   for a in range(len(self.forms))]
         four = sum((wedge(al, f) for al, f in zip(alphas, self.forms)),
                    Form(model, 4))
-        star = hodge_star(four * scalar(Fraction(1, 6)))
+        star = hodge_star(four * SIXTH)
         return [star.coeff((m + 1,)) for m in range(N)]
 
     @property
@@ -353,23 +392,22 @@ def upsilon_hat(W: Tensor2) -> Tensor2:
                 w = W.m[j][l]
                 if not w.is_zero():
                     rows[i][k] = rows[i][k] + four * v1 * v2 * w
-    return Tensor2(rows)
+    return Tensor2._of(rows)
 
 
 def upsilon_grave(S: Tensor2):
-    """Contraction v_i = Y_ijk S_jk for symmetric S."""
-    for i in range(N):
-        for j in range(i + 1, N):
-            if not (S.m[i][j] - S.m[j][i]).is_zero():
-                raise ValueError("grave operator needs a symmetric input")
-    d = _dense_upsilon()
+    """Contraction v_i = Y_ijk S_jk for symmetric S, over the nonzero Y_ijk
+    and, when S is exact, the nonzero S_jk."""
+    if not (S - S.transpose()).is_zero():
+        raise ValueError("grave operator needs a symmetric input")
+    d, exact = _dense_upsilon(), S.is_exact
     out = [Scalar(0)] * N
     for i in range(N):
         acc = Scalar(0)
         for j in range(N):
             for k in range(N):
                 v = d[i][j][k]
-                if not v.is_zero():
+                if not (v.is_zero() or exact and is_exact_zero(S.m[j][k])):
                     acc = acc + v * S.m[j][k]
         out[i] = acc
     return out
@@ -382,9 +420,9 @@ def upsilon_bar(v) -> Tensor2:
     v = [scalar(c) for c in v]
     d = _dense_upsilon()
     exact = all(c.is_exact for c in v)
-    return Tensor2([[sum((d[i][j][k] * v[k] for k in range(N)
-                          if not (exact and d[i][j][k].is_zero())), Scalar(0))
-                     for j in range(N)] for i in range(N)])
+    return Tensor2._of([[sum((d[i][j][k] * v[k] for k in range(N)
+                              if not (exact and d[i][j][k].is_zero())), ZERO)
+                         for j in range(N)] for i in range(N)])
 
 
 def upsilon_check(S: Tensor2) -> Tensor2:
@@ -398,19 +436,16 @@ def decompose_t2(W: Tensor2):
     Returns {"c1", "c3", "c7", "c5", "c9"}; the parts sum to W and are
     eigenvectors of the hat operator with eigenvalues 14, 7, -8, -3, 4.
     """
-    E = E_matrices()
     A = W.alt()
     S = W.sym()
-    tenth = scalar(Fraction(1, 10))
     c3 = Tensor2.zero()
-    for t in range(3):
-        Emat = Tensor2(E[t])
-        c3 = c3 + Emat.scale(A.inner(Emat) * tenth)
+    for E in E_matrices():
+        Emat = Tensor2._of(E, True)
+        c3 = c3 + Emat.scale(A.inner(Emat) * TENTH)
     c7 = A - c3
-    fifth = scalar(Fraction(1, 5))
-    c1 = Tensor2.metric().scale(S.trace() * fifth)
+    c1 = Tensor2.metric().scale(S.trace() * FIFTH)
     S0 = S - c1
-    c5 = upsilon_check(S0).scale(Fraction(1, 14))
+    c5 = upsilon_check(S0).scale(FOURTEENTH)
     c9 = S0 - c5
     return {"c1": c1, "c3": c3, "c7": c7, "c5": c5, "c9": c9}
 

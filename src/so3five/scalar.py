@@ -59,10 +59,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _TRAILING_RATIONAL_RE = re.compile(r"([+-]?\d+(?:/\d+)?)$")
 
 
-def _rat_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _rat_str(n: int, d: int) -> str:
+    """The reduced fraction n/d, d > 0, as "n" or "n/d"."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _mk(n, m, d):
@@ -181,13 +182,13 @@ class Scalar:
     def to_string(self) -> str:
         if self._f is not None:
             return repr(self._f)
-        a, b = self.a, self.b
-        if b == 0:
-            return _rat_str(a)
-        if a == 0:
-            return _rat_str(b) + "*sqrt3"
-        sign = "+" if b > 0 else "-"
-        return _rat_str(a) + sign + _rat_str(abs(b)) + "*sqrt3"
+        n, m, d = self._n, self._m, self._d
+        if not m:
+            return _rat_str(n, d)
+        if not n:
+            return _rat_str(m, d) + "*sqrt3"
+        sign = "+" if m > 0 else "-"
+        return _rat_str(n, d) + sign + _rat_str(abs(m), d) + "*sqrt3"
 
     def __str__(self) -> str:
         return self.to_string()
@@ -244,6 +245,10 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         if self._f is None and o._f is None:
+            if not self._n and not self._m:
+                return o
+            if not o._n and not o._m:
+                return self
             d = self._d
             if d == o._d:
                 return _norm(self._n + o._n, self._m + o._m, d)
@@ -277,6 +282,8 @@ class Scalar:
             return NotImplemented
         if self._f is None and o._f is None:
             n1, m1, n2, m2 = self._n, self._m, o._n, o._m
+            if not (n1 or m1) or not (n2 or m2):
+                return ZERO
             if not m1 and not m2:
                 n, d = n1 * n2, self._d * o._d
                 if d != 1:
@@ -349,6 +356,7 @@ def scalar(x) -> Scalar:
 
 
 ZERO = Scalar(0)
+ONE = Scalar(1)
 
 
 def _cmk(a, b, c, e, d):
@@ -393,15 +401,19 @@ def _cjoin(re, im):
     return z
 
 
-def _is_exact_zero(s):
-    return s._f is None and not s._n and not s._m
+def is_exact_zero(x):
+    """True when the Scalar or CScalar x is an exact zero, never for a
+    float: a product with such a factor is an exact zero too."""
+    if type(x) is CScalar:
+        return x._d is not None and not (x._a or x._b or x._c or x._e)
+    return x._f is None and not x._n and not x._m
 
 
 def _products(p, q, r, s):
     """p*q + r*s with each product that has an exact-zero factor left out."""
-    if _is_exact_zero(p) or _is_exact_zero(q):
-        return ZERO if _is_exact_zero(r) or _is_exact_zero(s) else r * s
-    if _is_exact_zero(r) or _is_exact_zero(s):
+    if is_exact_zero(p) or is_exact_zero(q):
+        return ZERO if is_exact_zero(r) or is_exact_zero(s) else r * s
+    if is_exact_zero(r) or is_exact_zero(s):
         return p * q
     return p * q + r * s
 
@@ -508,14 +520,14 @@ class CScalar:
             sr, si, orr, oi = self.re, self.im, o.re, o.im
             # a product with an exact-zero factor is left out, so that a
             # float part cannot turn an exact part into a float
-            if _is_exact_zero(sr) or _is_exact_zero(orr):
+            if is_exact_zero(sr) or is_exact_zero(orr):
                 return _cjoin(_products(sr, orr, -si, oi),
                               _products(sr, oi, si, orr))
-            if _is_exact_zero(si):
-                if _is_exact_zero(oi):
+            if is_exact_zero(si):
+                if is_exact_zero(oi):
                     return _cjoin(sr * orr, ZERO)
                 return _cjoin(sr * orr, sr * oi)
-            if _is_exact_zero(oi):
+            if is_exact_zero(oi):
                 return _cjoin(sr * orr, si * orr)
             return _cjoin(sr * orr - si * oi, sr * oi + si * orr)
         # (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3

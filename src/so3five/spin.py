@@ -19,6 +19,7 @@ from .scalar import (
     CScalar,
     Scalar,
     cscalar,
+    is_exact_zero,
     mat_add,
     mat_mul,
     mat_scale,
@@ -36,19 +37,22 @@ PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
 
 def det4(A) -> CScalar:
-    """Cofactor expansion along the first row."""
+    """Cofactor expansion along the first row; when every entry is exact,
+    a cofactor whose first-row entry is zero is left out."""
 
     def det3(M):
         return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
                 - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
                 + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
 
+    exact = all(x.is_exact for row in A for x in row)
     total = CScalar(0)
-    sign = 1
     for col in range(4):
+        if exact and is_exact_zero(A[0][col]):
+            continue
         minor = [[A[i][j] for j in range(4) if j != col] for i in range(1, 4)]
-        total = total + scalar(sign) * A[0][col] * det3(minor)
-        sign = -sign
+        term = A[0][col] * det3(minor)
+        total = total + term if col % 2 == 0 else total - term
     return total
 
 

@@ -633,6 +633,32 @@ class TestParser:
         assert code == 0
         assert "classify" in out and "selftest" in out
 
+    def test_the_kept_parser_carries_nothing_between_calls(self, capsys,
+                                                           tor23_file):
+        # main builds its parser on the first call and keeps it: a usage
+        # error, a classify and a catalog listing in one process print what
+        # three fresh processes print
+        import so3five
+        from so3five import cli
+        requests = [("classify", tor23_file, "--no-such-flag"),
+                    ("classify", tor23_file, "--json"), ("catalog",)]
+        cli._build_parser.cache_clear()
+        here = [run(capsys, *argv) for argv in requests]
+        assert cli._build_parser.cache_info().misses == 1
+        pkg_root = os.path.dirname(os.path.dirname(so3five.__file__))
+        env = dict(os.environ, PYTHONPATH=pkg_root,
+                   PYTHONDONTWRITEBYTECODE="1")
+        fresh = []
+        for argv in requests:
+            p = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from so3five.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            fresh.append((p.returncode, p.stdout, p.stderr))
+        assert [code for code, _, _ in here] == [1, 0, 0]
+        assert here == fresh
+
 
 def test_importing_the_cli_loads_no_numpy():
     # only frame adaptation (selftest) uses numpy, and it imports it there
