@@ -611,8 +611,7 @@ def cmd_selftest(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _build_parser():
-    """The command-line parser, built on the first call to main and kept:
-    parse_args leaves it as it was."""
+    """The command-line parser, built on the first call to main and kept."""
     p = _Parser(prog="so3five",
                 description="irreducible rotation-group structures on "
                             "5-dimensional geometries")

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .exterior import Form, hodge_star, sort_indices, wedge
-from .scalar import (DEFAULT_TOL, ONE, ZERO, Scalar, dot, is_exact_zero, rref,
+from .scalar import (DEFAULT_TOL, ZERO, Scalar, dot, is_exact_zero, rref,
                      scalar)
 from .upsilon import E_matrices, standard_upsilon
 
@@ -141,8 +141,7 @@ class Tensor2(_Dense):
 
     @classmethod
     def _of(cls, rows, exact=False):
-        """The Tensor2 of a 5x5 array of Scalars, taken over unchecked;
-        exact=True when every entry is known to be exact."""
+        """A Tensor2 of Scalars, unchecked; exact=True if all are exact."""
         t = object.__new__(cls)
         t.m, t._exact = rows, exact or None
         return t
@@ -159,7 +158,7 @@ class Tensor2(_Dense):
 
     @classmethod
     def metric(cls):
-        return cls._of([[ONE if i == j else ZERO for j in range(N)]
+        return cls._of([[Scalar(1) if i == j else ZERO for j in range(N)]
                         for i in range(N)], True)
 
     @classmethod
@@ -415,13 +414,15 @@ def upsilon_grave(S: Tensor2):
 
 def upsilon_bar(v) -> Tensor2:
     """The symmetric matrix Y_ijk v_k of contraction against a vector.  An
-    exact zero Y_ijk is skipped only when every v_k is exact, because its
-    product with a float is a float 0.0."""
+    exact zero Y_ijk or v_k is skipped only when every v_k is exact, because
+    a product with a float is a float 0.0."""
     v = [scalar(c) for c in v]
     d = _dense_upsilon()
     exact = all(c.is_exact for c in v)
     return Tensor2._of([[sum((d[i][j][k] * v[k] for k in range(N)
-                              if not (exact and d[i][j][k].is_zero())), ZERO)
+                              if not (exact and (is_exact_zero(d[i][j][k])
+                                                 or is_exact_zero(v[k])))),
+                             ZERO)
                          for j in range(N)] for i in range(N)])
 
 

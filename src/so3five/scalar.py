@@ -356,7 +356,6 @@ def scalar(x) -> Scalar:
 
 
 ZERO = Scalar(0)
-ONE = Scalar(1)
 
 
 def _cmk(a, b, c, e, d):

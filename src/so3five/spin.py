@@ -15,6 +15,7 @@ from .connection import Analysis, stage
 from .exterior import CoframeModel
 from .scalar import (
     DEFAULT_TOL,
+    ZERO,
     I,
     CScalar,
     Scalar,
@@ -23,7 +24,6 @@ from .scalar import (
     mat_add,
     mat_mul,
     mat_scale,
-    scalar,
     sqrt3,
     zeros,
 )
@@ -136,14 +136,17 @@ def det_identity(coeffs):
 
     The determinant identity says the two agree for every coefficient
     triple.  Returns (W, det W, predicted, |det W - predicted|); zero
-    coefficients add nothing to W and are skipped.
+    coefficients add nothing to W and are skipped, and so are their squares
+    when every coefficient is exact.
     """
     W = zeros(4, like=I)
     for c, E in zip(coeffs, spin_basis().E):
         if not c.is_zero():
             W = mat_add(W, mat_scale(cscalar(c), E))
     d = det4(W)
-    square_sum = sum((c * c for c in coeffs), scalar(0))
+    exact = all(c.is_exact for c in coeffs)
+    square_sum = sum((c * c for c in coeffs
+                      if not (exact and is_exact_zero(c))), ZERO)
     predicted = NINE_SIXTEENTHS * square_sum * square_sum
     return W, d, predicted, (d - cscalar(predicted)).mag()
 

@@ -23,9 +23,11 @@ import pytest
 from so3five.cli import main
 from so3five.connection import _torsion_square
 from so3five.exterior import CoframeModel
-from so3five.repr import PAIRS, TRIPLES, CurvTensor, Tensor2, form_array
+from so3five.repr import (PAIRS, TRIPLES, CurvTensor, Tensor2, form_array,
+                          upsilon_bar)
 from so3five.scalar import CScalar, Scalar, scalar
-from so3five.spin import det4
+from so3five.spin import NINE_SIXTEENTHS, det4, det_identity
+from so3five.upsilon import standard_upsilon
 
 FLAT = CoframeModel("flat5", {})
 DATA = Path(__file__).parent / "data"
@@ -76,6 +78,19 @@ def dense_inner(W, V):
         for j in range(N):
             acc = acc + W.m[i][j] * V.m[i][j]
     return acc
+
+
+def dense_upsilon_bar(v):
+    d = standard_upsilon().dense()
+    exact = all(c.is_exact for c in v)
+    return [[sum((d[i][j][k] * v[k] for k in range(N)
+                  if not (exact and d[i][j][k].is_zero())), Scalar(0))
+             for j in range(N)] for i in range(N)]
+
+
+def dense_predicted(coeffs):
+    square_sum = sum((c * c for c in coeffs), scalar(0))
+    return NINE_SIXTEENTHS * square_sum * square_sum
 
 
 def dense_ricci(K):
@@ -151,6 +166,14 @@ def test_det4_matches_the_dense_expansion(kind):
         assert_same([[got.re, got.im]], [[want.re, want.im]])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_det_identity_prediction_matches_the_dense_sum(kind):
+    rng = random.Random(f"predicted-{kind}")
+    for _ in range(30):
+        coeffs = [value(rng, kind) for _ in range(3)]
+        assert_same([[det_identity(coeffs)[2]]], [[dense_predicted(coeffs)]])
+
+
 def test_det4_keeps_the_cofactor_of_a_float_zero():
     # diag(0.0, 1, 1, 1): the first cofactor is 0.0 * 1, a float zero
     A = [[CScalar(int(i == j), 0) for j in range(4)] for i in range(4)]
@@ -170,6 +193,14 @@ def test_tensor2_operations_match_the_dense_loops(kind):
         assert_same((W + V).m, dense_add(W, V))
         assert_same((W - V).m, dense_sub(W, V))
         assert_same([[W.inner(V)]], [[dense_inner(W, V)]])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_upsilon_bar_matches_the_dense_loop(kind):
+    rng = random.Random(f"bar-{kind}")
+    for _ in range(20):
+        v = [value(rng, kind) for _ in range(N)]
+        assert_same(upsilon_bar(v).m, dense_upsilon_bar(v))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -197,7 +228,7 @@ def test_inputs_cover_exact_zeros_and_float_zeros():
 # Scalar multiplies and additions of one warm classify of the pinned exact
 # tor23 (rho = 1, eps = 1, delta = 1) model; the dense loops made 2,621 and
 # 2,624
-MAX_CALLS = {"mul": 969, "add": 915}
+MAX_CALLS = {"mul": 902, "add": 848}
 
 
 def test_classify_stays_off_the_exact_zeros(tmp_path, monkeypatch):
