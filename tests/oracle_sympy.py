@@ -27,6 +27,9 @@ From these it derives, with its own exterior calculus:
   with the squared norm of each
 - both Bianchi identities in the 5x5 matrix representation, as residual
   forms
+- the Jacobi residuals d(d theta^i), from the structure constants alone:
+  ``jacobi_residuals`` needs no so(3) basis or connection, so it also
+  takes frames that break d^2 = 0
 - the torsion 3-form T_abc, checked totally skew, and the split of its
   star, a skew 5x5 matrix, into the orthogonal projection onto the span of
   the E_I (by a Gram solve) and the rest: the classes t3 and t7
@@ -80,6 +83,24 @@ def wedge(a, b):
     return out
 
 
+def ext_d(dtheta, form):
+    """d(c theta^k1..kp) = sum_pos (-1)^pos c theta^k1 .. d theta^k_pos ..,
+    with d(theta^i) = dtheta[i]; a leg missing from dtheta is closed."""
+    out = {}
+    for legs, c in form.items():
+        for pos, leg in enumerate(legs):
+            sign = -1 if pos % 2 else 1
+            for (b, e), v in dtheta.get(leg, {}).items():
+                _put(out, legs[:pos] + (b, e) + legs[pos + 1:], c * v * sign)
+    return out
+
+
+def jacobi_residuals(dtheta):
+    """{i: d(d theta^i)}, each a 3-form that vanishes exactly when the
+    structure constants satisfy the Jacobi identity at leg i."""
+    return {i: ext_d(dtheta, form) for i, form in dtheta.items()}
+
+
 def coeff(form, legs):
     """The coefficient of theta^legs, antisymmetric in legs."""
     sign = _parity(legs)
@@ -115,15 +136,7 @@ class Oracle:
     # -- exterior calculus on the model
 
     def d(self, form):
-        """d(c theta^k1..kp) = sum_pos (-1)^pos c theta^k1 .. d theta^k_pos .."""
-        out = {}
-        for legs, c in form.items():
-            for pos, leg in enumerate(legs):
-                sign = -1 if pos % 2 else 1
-                for (b, e), v in self.dtheta[leg].items():
-                    _put(out, legs[:pos] + (b, e) + legs[pos + 1:],
-                         c * v * sign)
-        return out
+        return ext_d(self.dtheta, form)
 
     def _curvature(self, A):
         """d A + A ^ A for a 5x5 matrix of 1-forms."""

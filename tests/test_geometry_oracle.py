@@ -8,15 +8,23 @@ the curvature half of a classify report prints must then agree exactly:
 the curvature forms r^I, the dense K_ijkl, both Ricci tensors, the six
 parts of the curvature type with their norms and presence flags, |K|^2,
 both Bianchi residuals, and the torsion 3-form with its classes t3 and t7.
+
+The Jacobi residuals d(d theta^i) are compared the same way, term by term,
+with ext_d of each d(theta^i): on the catalog points, where both vanish,
+and on seeded frames whose structure constants break d^2 = 0.  Those are
+built as Frame, which runs no d^2 check, so every residual term there is a
+leg tuple that ext_d must sort and sign as the oracle does.
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from sympy import QQ
 
-from oracle_sympy import F, Oracle
+from oracle_sympy import F, Oracle, ext_d as oracle_d, jacobi_residuals
 from so3five.catalog import (
     flat_char_model,
     six_dim_model,
@@ -26,6 +34,7 @@ from so3five.catalog import (
     torsion_free_model,
 )
 from so3five.connection import Analysis, characteristic_connection
+from so3five.exterior import Frame, ext_d
 from so3five.scalar import Scalar
 from so3five.upsilon import E_matrices
 
@@ -139,3 +148,56 @@ def test_torsion_free_family_against_the_oracle():
     rng = random.Random(115)
     for r in (q(rng), q(rng), 0):
         check(torsion_free_model(r))
+
+
+# -- the Jacobi residual --------------------------------------------------
+
+
+def check_jacobi(frame):
+    """d(d theta^i) from ext_d against the oracle, from the structure
+    constants alone; the number of nonzero residual terms."""
+    d = {leg: form_f(frame.d_of(leg)) for leg in range(1, frame.dim + 1)}
+    want = jacobi_residuals(d)
+    for leg in range(1, frame.dim + 1):
+        assert form_f(ext_d(frame.d_of(leg))) == want[leg], leg
+    return sum(len(r) for r in want.values())
+
+
+def exact(rng):
+    return Scalar(q(rng), q(rng) if rng.randrange(3) == 0 else 0)
+
+
+def test_jacobi_residual_on_catalog_points():
+    rng = random.Random(404)
+    models = [tor23_model(abs(q(rng)), angle(rng), rng.choice([1, -1]),
+                          rng.randrange(2)),
+              tor27_model(abs(q(rng)), angle(rng)),
+              flat_char_model(solve_flat_constraints(
+                  *[q(rng) for _ in range(7)])),
+              six_dim_model(1, a=q(rng)),
+              six_dim_model(2, t1=q(rng), t2=q(rng)),
+              torsion_free_model(q(rng))]
+    assert [m.n_fiber for m in models] == [0, 0, 0, 1, 1, 3]
+    assert all(check_jacobi(m.frame) == 0 for m in models)
+
+
+@pytest.mark.parametrize("n_fiber", [0, 1, 3])
+def test_jacobi_residual_on_frames_that_break_it(n_fiber):
+    rng = random.Random(f"jacobi-{n_fiber}")
+    dim = 5 + n_fiber
+    pairs = list(combinations(range(1, dim + 1), 2))
+    broken = 0
+    for t in range(4):
+        d = {i: [(exact(rng), *rng.choice(pairs)[::rng.choice([1, -1])])
+                 for _ in range(rng.randint(1, 4))]
+             for i in range(1, dim + 1) if rng.randrange(4)}
+        frame = Frame(f"broken-{t}", d, n_fiber, None, None)
+        broken += check_jacobi(frame) > 0
+        # ext_d of a few seeded forms, fiber legs included
+        dtheta = {leg: form_f(frame.d_of(leg)) for leg in range(1, dim + 1)}
+        for degree in (1, 2, 3):
+            f = frame.form(degree, [(tuple(rng.sample(range(1, dim + 1),
+                                                      degree)), exact(rng))
+                                    for _ in range(4)])
+            assert form_f(ext_d(f)) == oracle_d(dtheta, form_f(f))
+    assert broken >= 3
