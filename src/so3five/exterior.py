@@ -10,10 +10,12 @@ geometry.
 
 This module owns the one exterior-form engine.  Forms are dictionaries from
 strictly increasing index tuples to coefficients, Scalars here; all indices
-are 1-based.  connection.CForm runs the engine over complex coefficients, and
-twistor.TwistorForm over fiber functions with the dz, dzbar legs.  The Hodge
-star is taken in a given top dimension, the 5-dimensional base by default,
-and refuses legs above it.
+are 1-based.  The constructor checks terms from outside; the engine merges
+leg tuples through the table MERGED and builds its results with the
+unchecked Form._normal.  connection.CForm runs the engine over complex
+coefficients, and twistor.TwistorForm over fiber functions with the dz,
+dzbar legs.  The Hodge star is taken in a given top dimension, the
+5-dimensional base by default, and refuses legs above it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,19 @@ def sort_indices(indices):
     return tuple(idx), sign
 
 
+class _MergeTable(dict):
+    """(ka, kb) -> sort_indices(ka + kb) for two sorted leg tuples: the
+    sorted key and its sign, or (None, 0) when they share a leg.  A pair is
+    sorted on its first lookup only."""
+
+    def __missing__(self, pair):
+        merged = self[pair] = sort_indices(pair[0] + pair[1])
+        return merged
+
+
+MERGED = _MergeTable()
+
+
 class Form:
     """Exterior form with constant Scalar coefficients on a model's frame.
 
@@ -69,6 +84,14 @@ class Form:
             for key, coef in (terms.items() if isinstance(terms, dict) else terms):
                 self._accumulate(key, self.ring(coef))
         self._prune()
+
+    @classmethod
+    def _normal(cls, model, degree, terms):
+        """The form of a frame with terms already sorted, in range, in the
+        ring and nonzero.  terms is a new dict, which this takes over."""
+        out = object.__new__(cls)
+        out.model, out.degree, out.terms = model, degree, terms
+        return out
 
     def _accumulate(self, key, coef):
         key = tuple(key)
@@ -130,15 +153,15 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._check_same(other)
-        out = type(self)(self.model, self.degree, self.terms)
+        out = self._normal(self.model, self.degree, dict(self.terms))
         for k, v in other.terms.items():
-            out._accumulate(k, v)
+            out._merge(k, v)
         out._prune()
         return out
 
     def __neg__(self):
-        return type(self)(self.model, self.degree,
-                          {k: -v for k, v in self.terms.items()})
+        return self._normal(self.model, self.degree,
+                            {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -150,8 +173,10 @@ class Form:
             c = self.ring(c)
         except TypeError:
             return NotImplemented
-        return type(self)(self.model, self.degree,
-                          {k: v * c for k, v in self.terms.items()})
+        out = self._normal(self.model, self.degree,
+                           {k: v * c for k, v in self.terms.items()})
+        out._prune()
+        return out
 
     __rmul__ = __mul__
 
@@ -414,12 +439,12 @@ class CoframeModel:
 def wedge(a: Form, b: Form) -> Form:
     if a.model is not b.model:
         raise ModelError("forms live on different models")
-    out = type(a)(a.model, a.degree + b.degree)
+    out = a._normal(a.model, a.degree + b.degree, {})
     if out.degree > a.model.dim + a.n_extra:
         return out
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
-            key, sign = sort_indices(ka + kb)
+            key, sign = MERGED[ka, kb]
             if sign == 0:
                 continue
             c = va * vb
@@ -439,13 +464,14 @@ def ext_d(a: Form) -> Form:
     """Exterior derivative through the structure constants (coefficients are
     constant on the model).  Legs past the model's coframe are closed."""
     model = a.model
-    out = type(a)(model, a.degree + 1)
+    out = a._normal(model, a.degree + 1, {})
     for key, coef in a.terms.items():
         for pos, leg in enumerate(key):
             if leg > model.dim:
                 continue
-            for (b, c), dco in model._d_terms[leg].items():
-                merged, s = sort_indices((b, c) + key[:pos] + key[pos + 1:])
+            rest = key[:pos] + key[pos + 1:]
+            for bc, dco in model._d_terms[leg].items():
+                merged, s = MERGED[bc, rest]
                 if s == 0:
                     continue
                 val = coef * (dco if pos % 2 == 0 else -dco)
@@ -462,14 +488,15 @@ def hodge_star(a: Form, top: int = N_BASE) -> Form:
         raise ModelError(f"hodge star in dimension {top} got a leg above {top}")
     if a.degree > top:
         raise ModelError(f"degree exceeds dimension {top}")
-    out = type(a)(a.model, top - a.degree)
+    last = a.model.dim + a.n_extra
+    if a.terms and top > last:
+        raise ModelError(f"coframe index {last + 1} out of range 1..{last}")
     full = tuple(range(1, top + 1))
+    out = {}
     for key, coef in a.terms.items():
         comp = tuple(i for i in full if i not in key)
-        _, sign = sort_indices(key + comp)
-        out._accumulate(comp, coef if sign > 0 else -coef)
-    out._prune()
-    return out
+        out[comp] = coef if MERGED[key, comp][1] > 0 else -coef
+    return a._normal(a.model, top - a.degree, out)
 
 
 def form_inner(a: Form, b: Form) -> Scalar:

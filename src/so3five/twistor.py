@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 from .connection import build_report, characteristic_connection, stage
-from .exterior import CoframeModel, Form, ModelError, ext_d, hodge_star, wedge
+from .exterior import (MERGED, CoframeModel, Form, ModelError, ext_d,
+                       hodge_star, wedge)
 from .repr import kappa_forms
 from .scalar import (_SQRT3_FLOAT, DEFAULT_TOL, CScalar, Scalar, _cnorm,
                      cscalar, sqrt3)
@@ -382,10 +383,12 @@ class TwistorForm(Form):
 
     def d(self) -> "TwistorForm":
         out = ext_d(self)
-        dz, dzb = self.model.dim + 1, self.model.dim + 2
+        dz, dzb = (self.model.dim + 1,), (self.model.dim + 2,)
         for legs, f in self.terms.items():
-            out._accumulate((dz,) + legs, f.d_z())
-            out._accumulate((dzb,) + legs, f.d_zbar())
+            for leg, df in ((dz, f.d_z()), (dzb, f.d_zbar())):
+                key, sign = MERGED[leg, legs]
+                if sign:
+                    out._merge(key, df if sign > 0 else -df)
         out._prune()
         return out
 
