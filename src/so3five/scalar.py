@@ -789,9 +789,16 @@ def identity(n, like=None):
 
 
 def dot(u, v):
+    """sum u_i v_i, leaving out each term whose first factor is an exact
+    zero, and each exact-zero product of exact factors once the sum is
+    exact: adding that changes neither an exact sum nor a float zero's
+    sign."""
     acc = None
     for x, y in zip(u, v):
-        if isinstance(x, Scalar) and x._f is None and not x._n and not x._m:
+        if isinstance(x, Scalar) and x._f is None and (
+                not x._n and not x._m
+                or type(acc) is Scalar and acc._f is None and type(y) is Scalar
+                and y._f is None and not y._n and not y._m):
             continue
         acc = x * y if acc is None else acc + x * y
     return acc if acc is not None else u[0] * v[0]

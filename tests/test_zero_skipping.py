@@ -25,7 +25,7 @@ from so3five.connection import _torsion_square
 from so3five.exterior import CoframeModel
 from so3five.repr import (PAIRS, TRIPLES, CurvTensor, Tensor2, form_array,
                           upsilon_bar)
-from so3five.scalar import CScalar, Scalar, scalar
+from so3five.scalar import CScalar, Scalar, dot, scalar
 from so3five.spin import NINE_SIXTEENTHS, det4, det_identity
 from so3five.upsilon import standard_upsilon
 
@@ -98,6 +98,17 @@ def dense_ricci(K):
     return [[sum((e * R[a][i][l] for i in range(N)
                   for a, e in K.support[i][j]), Scalar(0))
               for l in range(N)] for j in range(N)]
+
+
+def former_dot(u, v):
+    """scalar.dot before it also left out exact-zero second factors: it
+    skipped only an exact-zero first factor."""
+    acc = None
+    for x, y in zip(u, v):
+        if isinstance(x, Scalar) and x._f is None and not x._n and not x._m:
+            continue
+        acc = x * y if acc is None else acc + x * y
+    return acc if acc is not None else u[0] * v[0]
 
 
 # -- seeded random input --------------------------------------------------
@@ -212,6 +223,23 @@ def test_curvature_ricci_matches_the_dense_loop(kind):
                   CurvTensor.from_pair_forms([form(rng, kind, 2)
                                               for _ in PAIRS])):
             assert_same(K.ricci().m, dense_ricci(K))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dot_matches_the_former_loop(kind):
+    rng = random.Random(f"dot-{kind}")
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        u = [value(rng, kind) for _ in range(n)]
+        v = [value(rng, kind) for _ in range(n)]
+        assert_same([[dot(u, v)]], [[former_dot(u, v)]])
+
+
+def test_dot_keeps_the_sign_of_a_float_zero():
+    # -0.0 plus the exact zero 1 * 0 is +0.0, so that product stays in
+    one, zero, neg = Scalar(1), Scalar(0), Scalar.from_float(-0.0)
+    for u, v in (([one, one], [neg, zero]), ([one, one], [zero, neg])):
+        assert dot(u, v).to_string() == former_dot(u, v).to_string() == "0.0"
 
 
 def test_inputs_cover_exact_zeros_and_float_zeros():
