@@ -13,7 +13,7 @@ chart is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import fsum, gcd
 
 from .connection import build_report, characteristic_connection, stage
 from .exterior import (MERGED, CoframeModel, Form, ModelError, ext_d,
@@ -165,11 +165,13 @@ class FiberFunction:
         return self if k == self.k else _normal(coefs, self.den, k)
 
     def eval(self, z: complex) -> complex:
+        # exactly rounded sums, so the value does not depend on the order
+        # of the monomials in the numerator
         z = complex(z)
         zb = z.conjugate()
-        total = 0j
-        for (p, q), c in _complex_items(self):
-            total += c * z ** p * zb ** q
+        terms = [c * z ** p * zb ** q for (p, q), c in _complex_items(self)]
+        total = complex(fsum(t.real for t in terms),
+                        fsum(t.imag for t in terms))
         return total / (1 + (z * zb).real) ** self.k
 
     def __eq__(self, other):

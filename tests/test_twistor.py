@@ -131,6 +131,18 @@ class TestFiberFunction:
         assert abs(f.eval(1) - 0.5) < 1e-15
         assert abs(f.eval(0)) == 0.0
 
+    @pytest.mark.parametrize("big", [10 ** 16, 1e16])
+    def test_eval_ignores_monomial_order(self, big):
+        # summed in order, 1e16 + 1 - 1e16 is 0.0 and 1e16 - 1e16 + 1 is 1.0
+        terms = [((0, 0), big), ((1, 0), 1), ((2, 0), -big),
+                 ((0, 1), CScalar(0, big)), ((1, 1), CScalar(0, 1)),
+                 ((0, 2), CScalar(0, -big))]
+        one, other = fib(dict(terms), 1), fib(dict(reversed(terms)), 1)
+        assert list(one.coefs) != list(other.coefs)
+        for z in (1, 1 + 1e-9j):
+            assert one.eval(z) == other.eval(z)
+        assert one.eval(1) == complex(0.5, 0.5)
+
 
 # -- the coframe ------------------------------------------------------------
 
