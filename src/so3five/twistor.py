@@ -109,7 +109,7 @@ class FiberFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        scale = _ring(self.den)[3]
+        scale = _ring(self.den)[2]
         return _fiber_of({key: scale(c, -1) for key, c in self.coefs.items()},
                          self.den, self.k)
 
@@ -124,23 +124,23 @@ class FiberFunction:
         if other is NotImplemented:
             return NotImplemented
         a, b, exact = _operands(self, other)
-        den = self.den * other.den if exact else None
-        add, mul = _ring(den)[:2]
-        # the convolution of the two numerators
+        k = self.k + other.k
+        if exact:
+            return _normal(_convolve({}, a, b), self.den * other.den, k)
         out = {}
         for (p, q), x in a.items():
             for (r, s), y in b.items():
                 key = (p + r, q + s)
                 t = out.get(key)
-                out[key] = mul(x, y) if t is None else add(t, mul(x, y))
-        return _normal(out, den, self.k + other.k)
+                out[key] = x * y if t is None else t + x * y
+        return _normal(out, None, k)
 
     __rmul__ = __mul__
 
     def d_z(self) -> "FiberFunction":
         # quotient rule: (num' (1+w) - k zbar num) / (1+w)^(k+1), w = z zbar
         coefs, den, k = self.coefs, self.den, self.k
-        add, _, _, scale = _ring(den)[:4]
+        add, _, scale = _ring(den)[:3]
         lifted = _raise({(p - 1, q): scale(c, p)
                          for (p, q), c in coefs.items() if p}, 1, add)
         if k:
@@ -156,7 +156,7 @@ class FiberFunction:
 
     def reduce(self) -> "FiberFunction":
         coefs, k = self.coefs, self.k
-        _, _, sub, _, is_zero, zero = _ring(self.den)
+        _, sub, _, is_zero, zero = _ring(self.den)
         while k > 0 and coefs:
             divided = _divide_once(coefs, sub, is_zero, zero)
             if divided is None:
@@ -280,14 +280,14 @@ def _scaled(coefs, n):
 
 
 def _ring(den):
-    """(add, mul, sub, scale by an int, is_zero, zero) on the coefficients
+    """(add, sub, scale by an int, is_zero, zero) on the coefficients
     of a numerator: integer parts when den is an int, CScalars when it is
     None.  The CScalar operators are looked up on each call, so wrappers
     installed on the class (perfbench counts them) see the float path."""
     if den is None:
-        return (CScalar.__add__, CScalar.__mul__, CScalar.__sub__,
-                CScalar.__mul__, CScalar.is_zero, CScalar(0))
-    return _qadd, _qmul, _qsub, _qscale, _qzero, (0, 0, 0, 0)
+        return (CScalar.__add__, CScalar.__sub__, CScalar.__mul__,
+                CScalar.is_zero, CScalar(0))
+    return _qadd, _qsub, _qscale, _qzero, (0, 0, 0, 0)
 
 
 def _qadd(x, y):
@@ -306,14 +306,22 @@ def _qzero(x):
     return not any(x)
 
 
-def _qmul(x, y):
-    # (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3
-    a1, b1, c1, e1 = x
-    a2, b2, c2, e2 = y
-    return (a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
-            a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
-            a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
-            a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2)
+def _convolve(out, a, b, n=1):
+    """Add n times the product of the integer numerators a and b into out."""
+    for (p, q), (a1, b1, c1, e1) in a.items():
+        if n != 1:
+            a1, b1, c1, e1 = n * a1, n * b1, n * c1, n * e1
+        for (r, s), (a2, b2, c2, e2) in b.items():
+            # (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3
+            x = (a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
+                 a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+                 a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
+                 a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2)
+            key = (p + r, q + s)
+            t = out.get(key)
+            out[key] = x if t is None else (t[0] + x[0], t[1] + x[1],
+                                            t[2] + x[2], t[3] + x[3])
+    return out
 
 
 def _raise(coefs, times, add):
@@ -375,13 +383,40 @@ class TwistorForm(Form):
         return cls(form.model, form.degree, form.terms)
 
     def wedge(self, other: "TwistorForm") -> "TwistorForm":
-        out = wedge(self, other)
         # common (1 + z zbar) factors would otherwise compound through
-        # every later product
-        for key, f in out.terms.items():
-            out.terms[key] = f.reduce()
-        out._prune()
-        return out
+        # every later product, so each coefficient leaves reduced
+        if not (self.is_exact and other.is_exact):
+            # float sums round in the engine's order, so they keep it
+            out = wedge(self, other)
+            for key, f in out.terms.items():
+                out.terms[key] = f.reduce()
+            out._prune()
+            return out
+        if self.model is not other.model:
+            raise ModelError("forms live on different models")
+        # the pairs of each output key, in the engine's order
+        pairs = {}
+        for ka, fa in self.terms.items():
+            for kb, fb in other.terms.items():
+                key, sign = MERGED[ka, kb]
+                if sign:
+                    pairs.setdefault(key, []).append((sign, fa, fb))
+        # one integer sum of products per key, over the common denominator
+        # and the common power of (1 + z zbar)
+        terms = {}
+        for key, group in pairs.items():
+            den, k = 1, 0
+            for _, fa, fb in group:
+                d = fa.den * fb.den
+                den, k = den // gcd(den, d) * d, max(k, fa.k + fb.k)
+            out = {}
+            for sign, fa, fb in group:
+                _convolve(out, _raise(fa.coefs, k - fa.k - fb.k, _qadd),
+                          fb.coefs, sign * den // (fa.den * fb.den))
+            f = _normal(out, den, k)
+            if f.coefs:
+                terms[key] = f.reduce()
+        return self._normal(self.model, self.degree + other.degree, terms)
 
     def d(self) -> "TwistorForm":
         out = ext_d(self)

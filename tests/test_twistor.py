@@ -1,7 +1,11 @@
 """Sphere-bundle calculus: coframe identities, CR verdicts, the G2 form."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from so3five.catalog import (
     torsion_free_model,
 )
 from so3five.catalog import entry_json
+from so3five.cli import main
 from so3five.connection import StructureError
 from so3five.exterior import (
     CoframeModel,
@@ -52,7 +57,10 @@ from so3five.twistor import (
     tautological_form,
     twistor_coframe,
 )
+from so3five import twistor
 from so3five.upsilon import E_matrices, standard_upsilon
+
+DATA = Path(__file__).parent / "data"
 
 
 # each model keeps its stages, so the tests of a module share them as the
@@ -660,6 +668,158 @@ class TestSharedEngine:
             hodge_star(TwistorForm(t23, 2, {(3, 7): 1}))
         with pytest.raises(ModelError):
             hodge_star(t23.basis(1, 5), 4)
+
+
+# -- the exact wedge kernel -------------------------------------------------
+
+
+def former_wedge(a, b):
+    """TwistorForm.wedge before its exact kernel: the engine's sum of
+    per-pair products at each key, then each coefficient reduced and the
+    zeros pruned."""
+    out = wedge(a, b)
+    for key, f in out.terms.items():
+        out.terms[key] = f.reduce()
+    out._prune()
+    return out
+
+
+def raised(f):
+    """f with numerator and denominator both multiplied by (1 + z zbar)."""
+    return f * _ONE_W * fib({(0, 0): 1}, 1)
+
+
+def cancelling_pair(model, rng):
+    """1-forms whose wedge sums to exactly zero at (i, j), from products of
+    different powers k, and leaves sums with (1 + z zbar) factors at the
+    keys with l."""
+    f, g, h = rand_fiber(rng), rand_fiber(rng), rand_fiber(rng)
+    i, j, l = rng.sample(range(1, 8), 3)
+    a = TwistorForm(model, 1, [((i,), f), ((j,), raised(g)),
+                               ((l,), rand_fiber(rng) * _ONE_W)])
+    b = TwistorForm(model, 1, [((j,), g * h), ((i,), raised(f) * h),
+                               ((l,), rand_fiber(rng))])
+    return a, b
+
+
+def float_fiber(rng):
+    """Float coefficients, zeros of either sign among them."""
+    def part():
+        return Scalar.from_float(rng.choice((0.0, -0.0, rng.uniform(-2, 2))))
+    return fib({(rng.randint(0, 2), rng.randint(0, 2)):
+                CScalar(Scalar.from_float(rng.uniform(-2, 2)), part())
+                for _ in range(2)},
+               rng.randint(0, 2))
+
+
+def float_form(model, degree, rng, exact_share):
+    """A form with a float first term and exact_share of the others exact."""
+    return TwistorForm(model, degree, [
+        (tuple(rng.sample(range(1, 8), degree)),
+         rand_fiber(rng) if n and rng.random() < exact_share
+         else float_fiber(rng)) for n in range(4)])
+
+
+def fiber_strings(form):
+    return [(key, list(f.coefs), repr(f)) for key, f in form.terms.items()]
+
+
+class TestExactWedgeKernel:
+    def assert_same_exact(self, got, want):
+        assert list(got.terms) == list(want.terms)
+        for key, f in want.terms.items():
+            g = got.terms[key]
+            assert (g.den, g.k, g.coefs) == (f.den, f.k, f.coefs)
+        for z in sample_points(5, 3):
+            assert got.eval_terms(z) == want.eval_terms(z)
+
+    def engine_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, fn=wedge):
+            calls.append(1)
+            return fn(a, b)
+
+        monkeypatch.setattr(twistor, "wedge", counted)
+        return calls
+
+    def test_random_forms_match_the_former_path(self, t23, monkeypatch):
+        rng = random.Random(25)
+        calls = self.engine_calls(monkeypatch)
+        cancelled = 0
+        for da, db in [(0, 2), (1, 1), (1, 2), (2, 2), (2, 3), (3, 1)]:
+            for _ in range(6):
+                a = rand_split_form(t23, da, rng) if da else \
+                    TwistorForm(t23, 0, {(): rand_fiber(rng)})
+                b = rand_split_form(t23, db, rng)
+                self.assert_same_exact(a.wedge(b), former_wedge(a, b))
+        for _ in range(20):
+            a, b = cancelling_pair(t23, rng)
+            got = a.wedge(b)
+            self.assert_same_exact(got, former_wedge(a, b))
+            cancelled += len(got.terms) < 3
+        assert cancelled == 20
+        assert not calls
+
+    def test_cr_forms_match_the_former_path(self, t23):
+        cf = twistor_coframe(t23)
+        u, span = cf["u"], [cf["h"], cf["n1"], cf["n2"].conjugate()]
+        got = want = u
+        for piece in span:
+            got, want = got.wedge(piece), former_wedge(want, piece)
+            self.assert_same_exact(got, want)
+        for mu in [u] + span:
+            self.assert_same_exact(mu.d().wedge(got),
+                                   former_wedge(mu.d(), want))
+
+    @pytest.mark.parametrize("exact_share", [0.0, 0.5])
+    def test_float_and_mixed_forms_take_the_former_path(
+            self, t23, monkeypatch, exact_share):
+        rng = random.Random(f"float-{exact_share}")
+        calls = self.engine_calls(monkeypatch)
+        for da, db in [(1, 1), (1, 2), (2, 2)]:
+            for _ in range(6):
+                a = float_form(t23, da, rng, exact_share)
+                b = (rand_split_form(t23, db, rng) if rng.randrange(2)
+                     else float_form(t23, db, rng, exact_share))
+                assert not (a.is_exact and b.is_exact)
+                assert fiber_strings(a.wedge(b)) == \
+                    fiber_strings(former_wedge(a, b))
+        assert len(calls) == 18
+
+
+# FiberFunction products in one warm cr --structure j0 of the pinned exact
+# tor23 (rho = 1, eps = 1, delta = 1) model: 100 now, 364 when the wedge
+# formed one product per pair of terms
+MAX_FIBER_MULS = 120
+
+
+def test_cr_wedges_without_per_pair_products(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(entry_json(
+        "tor23", {"rho": "1", "eps": "1", "delta": "1"})))
+
+    def cr():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["cr", str(path), "--structure", "j0", "--json",
+                         "--tol", "1e-9"])
+        return code, out.getvalue()
+
+    cr()  # fills the caches every process shares
+    calls = []
+
+    def counted(*args, fn=FiberFunction.__mul__):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(FiberFunction, "__mul__", counted)
+    monkeypatch.setattr(FiberFunction, "__rmul__", counted)
+    code, out = cr()
+    monkeypatch.undo()
+    assert code == 0
+    assert out == (DATA / "cr_j0_tor23_rho1.json").read_text()
+    assert len(calls) <= MAX_FIBER_MULS
 
 
 # -- tolerance --------------------------------------------------------------
