@@ -275,7 +275,7 @@ class Frame:
         return Form(self, degree)
 
     def d_of(self, i: int) -> Form:
-        return Form(self, 2, self._d_terms.get(i))
+        return Form._normal(self, 2, dict(self._d_terms.get(i, ())))
 
     def gamma(self, which: int) -> Form:
         """Declared connection 1-form (1, 2 or 3)."""

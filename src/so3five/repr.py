@@ -99,8 +99,11 @@ def form_array(form: Form):
 
 def _plus(a, b, exact):
     """a + b; when exact, a zero term gives the other without an addition."""
-    if exact and (is_exact_zero(a) or is_exact_zero(b)):
-        return b if is_exact_zero(a) else a
+    if exact:
+        if is_exact_zero(a):
+            return b
+        if is_exact_zero(b):
+            return a
     return a + b
 
 
@@ -255,8 +258,11 @@ class ConnTensor(_Dense):
             if not 0 <= i < j < N or not 0 <= k < N:
                 raise ValueError("need 0 <= i < j < 5 and 0 <= k < 5")
             v = scalar(v)
-            x[i][j][k] = x[i][j][k] + v
-            x[j][i][k] = x[j][i][k] - v
+            if v.is_exact:
+                x[i][j][k], x[j][i][k] = v, -v
+            else:  # the sums keep the sign of a float zero as it was
+                x[i][j][k] = x[i][j][k] + v
+                x[j][i][k] = x[j][i][k] - v
         return cls(x)
 
     @classmethod

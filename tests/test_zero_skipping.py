@@ -23,8 +23,8 @@ import pytest
 from so3five.cli import main
 from so3five.connection import _torsion_square
 from so3five.exterior import CoframeModel
-from so3five.repr import (PAIRS, TRIPLES, CurvTensor, Tensor2, form_array,
-                          upsilon_bar)
+from so3five.repr import (PAIRS, TRIPLES, ConnTensor, CurvTensor, Tensor2,
+                          form_array, upsilon_bar)
 from so3five.scalar import CScalar, Scalar, dot, scalar
 from so3five.spin import NINE_SIXTEENTHS, det4, det_identity
 from so3five.upsilon import standard_upsilon
@@ -109,6 +109,17 @@ def former_dot(u, v):
             continue
         acc = x * y if acc is None else acc + x * y
     return acc if acc is not None else u[0] * v[0]
+
+
+def former_from_pairs(data):
+    """ConnTensor.from_pairs before it stored exact values directly: each
+    value added to, and subtracted from, a fresh zero."""
+    x = [[[Scalar(0) for _ in range(N)] for _ in range(N)] for _ in range(N)]
+    for (i, j, k), v in data.items():
+        v = scalar(v)
+        x[i][j][k] = x[i][j][k] + v
+        x[j][i][k] = x[j][i][k] - v
+    return x
 
 
 # -- seeded random input --------------------------------------------------
@@ -233,6 +244,27 @@ def test_dot_matches_the_former_loop(kind):
         u = [value(rng, kind) for _ in range(n)]
         v = [value(rng, kind) for _ in range(n)]
         assert_same([[dot(u, v)]], [[former_dot(u, v)]])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_conn_tensor_from_pairs_matches_the_former_loop(kind):
+    rng = random.Random(f"pairs-{kind}")
+    keys = [(i, j, k) for i, j in PAIRS for k in range(N)]
+    for _ in range(20):
+        data = {key: value(rng, kind)
+                for key in rng.sample(keys, rng.randint(1, len(keys)))}
+        got = ConnTensor.from_pairs(data).x
+        assert_same([row for plane in got for row in plane],
+                    [row for plane in former_from_pairs(data)
+                     for row in plane])
+
+
+def test_conn_tensor_from_pairs_keeps_the_sign_of_a_float_zero():
+    # 0 + (-0.0) is 0.0 and 0 - 0.0 is 0.0, where -(0.0) would be -0.0
+    for v in (0.0, -0.0):
+        x = ConnTensor.from_pairs({(0, 1, 2): Scalar.from_float(v)}).x
+        assert (x[0][1][2].to_string(), x[1][0][2].to_string()) == \
+            ("0.0", "0.0")
 
 
 def test_dot_keeps_the_sign_of_a_float_zero():
