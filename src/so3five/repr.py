@@ -260,7 +260,7 @@ class ConnTensor(_Dense):
             v = scalar(v)
             if v.is_exact:
                 x[i][j][k], x[j][i][k] = v, -v
-            else:  # the sums keep the sign of a float zero as it was
+            else:  # 0 + (-0.0) and 0 - 0.0 are +0.0: floats keep the sums
                 x[i][j][k] = x[i][j][k] + v
                 x[j][i][k] = x[j][i][k] - v
         return cls(x)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from so3five import twistor
 from so3five.catalog import (
     flat_char_model,
     six_dim_model,
@@ -57,7 +58,6 @@ from so3five.twistor import (
     tautological_form,
     twistor_coframe,
 )
-from so3five import twistor
 from so3five.upsilon import E_matrices, standard_upsilon
 
 DATA = Path(__file__).parent / "data"
