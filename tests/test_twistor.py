@@ -41,6 +41,7 @@ from so3five.scalar import (
 )
 from so3five.twistor import (
     _ONE_W,
+    STRUCTURES,
     FiberFunction,
     TwistorForm,
     _connection_terms,
@@ -286,6 +287,45 @@ class TestCrStructures:
         assert ok["derivative_check"] < 1e-6
         bad = cr_residuals_sampled(t27, "j0", seed=7)
         assert bad["max_sampled_residual"] > 0.1
+
+
+# float-input models with the first structure's predicted verdict: torsion
+# in the 3-class and no c9 curvature integrate it, and the other three
+# structures never integrate
+FLOAT_VERDICTS = [
+    ("tor23", {"rho": "1", "phi": "0.7", "delta": 0}, True),
+    ("tor23", {"rho": "1", "phi": "2.3", "delta": 1}, True),
+    ("tor23", {"rho": "1", "phi": "4.47", "delta": 0}, True),
+    ("tor27", {"rho": "1", "phi": "0.7"}, False),
+    ("tor27", {"rho": "1", "phi": "2.3"}, False),
+    ("tor27", {"rho": "1", "phi": "4.47"}, False),
+    ("six-dim-2", {"t1": "0.731", "t2": repr(2 * 0.731)}, True),
+    ("six-dim-2", {"t1": "0.42", "t2": "1.37"}, False),
+]
+
+
+@pytest.mark.parametrize("entry, params, j0", FLOAT_VERDICTS,
+                         ids=[f"{e}-{'-'.join(map(str, p.values()))}"
+                              for e, p, _ in FLOAT_VERDICTS])
+def test_float_cr_verdicts_hold_with_a_margin(tmp_path, entry, params, j0):
+    # an integrable residual is zero up to rounding, any other one is far
+    # from the tolerance, so last-bit changes cannot flip a verdict
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(entry_json(entry, params)))
+    for which in STRUCTURES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["cr", str(path), "--structure", which, "--json"])
+        assert code == 0
+        got = json.loads(out.getvalue())
+        want = j0 and which == "j0"
+        assert got["integrable"] is want, (which, got)
+        if which == "j0":
+            assert got["predicted_integrable"] is want
+        if want:
+            assert got["max_residual"] <= 1e-12, (which, got)
+        else:
+            assert got["max_residual"] >= 0.1, (which, got)
 
 
 # residuals of every structure, as the unreduced wedge computed them:
