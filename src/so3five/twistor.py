@@ -12,12 +12,13 @@ chart is built.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import fsum, gcd
 
 from .connection import build_report, characteristic_connection, stage
 from .exterior import (MERGED, CoframeModel, Form, ModelError, ext_d,
-                       hodge_star, wedge)
+                       hodge_star)
 from .repr import kappa_forms
 from .scalar import (_SQRT3_FLOAT, DEFAULT_TOL, CScalar, Scalar, _cnorm,
                      cscalar, sqrt3)
@@ -36,11 +37,13 @@ class FiberFunction:
     rational polynomial: each coefficient is the four integers (a, b, c, e)
     of a + b sqrt3 + i(c + e sqrt3), all of them over the positive integer
     den, with no factor common to den and every integer.  A numerator with
-    a float part keeps CScalar coefficients and den None.  Addition aligns
-    denominators, multiplication adds the exponents, and both Wirtinger
-    derivatives stay inside the class by the quotient rule.  reduce()
-    divides out common (1 + z zbar) factors, and zero functions have an
-    empty numerator.
+    a float part is held as complex coefficients with den None; a monomial
+    whose real and imaginary parts are both within the tolerance is left
+    out.  Addition aligns denominators, multiplication adds the exponents,
+    and both Wirtinger derivatives stay inside the class by the quotient
+    rule.  A float product sums each monomial's products exactly rounded.
+    reduce() divides out common (1 + z zbar) factors, and zero functions
+    have an empty numerator.
     """
 
     __slots__ = ("coefs", "den", "k")
@@ -62,7 +65,7 @@ class FiberFunction:
     def num(self) -> dict:
         """The numerator as {(p, q): CScalar}."""
         if self.den is None:
-            return self.coefs
+            return {key: cscalar(c) for key, c in self.coefs.items()}
         den = self.den
         return {key: _cnorm(a, b, c, e, den)
                 for key, (a, b, c, e) in self.coefs.items()}
@@ -74,10 +77,10 @@ class FiberFunction:
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         if self.den is not None:
             return not self.coefs
-        return all(c.is_zero(tol) for c in self.coefs.values())
+        return all(_fzero(c, tol) for c in self.coefs.values())
 
     def max_mag(self) -> float:
-        return max((c.mag() for c in self.num.values()), default=0.0)
+        return max((abs(c) for _, c in _complex_items(self)), default=0.0)
 
     def conjugate(self) -> "FiberFunction":
         if self.den is None:
@@ -127,13 +130,7 @@ class FiberFunction:
         k = self.k + other.k
         if exact:
             return _normal(_convolve({}, a, b), self.den * other.den, k)
-        out = {}
-        for (p, q), x in a.items():
-            for (r, s), y in b.items():
-                key = (p + r, q + s)
-                t = out.get(key)
-                out[key] = x * y if t is None else t + x * y
-        return _normal(out, None, k)
+        return _normal(_fconvolve([(1, a, b)]), None, k)
 
     __rmul__ = __mul__
 
@@ -212,29 +209,35 @@ def _fiber_of(coefs, den, k):
 
 
 def _complex_items(f):
-    """((p, q), complex coefficient) in numerator order, each rounded as
+    """((p, q), complex coefficient) in numerator order.  A float numerator
+    gives its items as they are; an exact one rounds each coefficient as
     complex(CScalar) rounds it: a correctly rounded integer quotient does
     not depend on a common factor, so the shared denominator gives the same
     float as each coefficient's own."""
-    if f.den is not None:
-        den = f.den
-        try:
-            return [(key, complex(a / den + b / den * _SQRT3_FLOAT,
-                                  c / den + e / den * _SQRT3_FLOAT))
-                    for key, (a, b, c, e) in f.coefs.items()]
-        except OverflowError:  # beyond the double range: Scalar gives inf
-            pass
-    return [(key, complex(c)) for key, c in f.num.items()]
+    den = f.den
+    if den is None:
+        return f.coefs.items()
+    try:
+        return [(key, complex(a / den + b / den * _SQRT3_FLOAT,
+                              c / den + e / den * _SQRT3_FLOAT))
+                for key, (a, b, c, e) in f.coefs.items()]
+    except OverflowError:  # beyond the double range: Scalar gives inf
+        return [(key, complex(c)) for key, c in f.num.items()]
+
+
+def _complex_coefs(f):
+    """The numerator of f as {(p, q): complex}."""
+    return f.coefs if f.den is None else dict(_complex_items(f))
 
 
 def _exact_parts(num):
     """(coefs, den) of a numerator of nonzero CScalars: integer parts over
-    the lcm of their denominators, or the CScalars and None when one has a
-    float part."""
+    the lcm of their denominators, or complex values and None when one has
+    a float part."""
     den = 1
     for c in num.values():
         if c._d is None:
-            return num, None
+            return {key: complex(c) for key, c in num.items()}, None
         den = den // gcd(den, c._d) * c._d
     # the lcm of normal forms leaves no common factor
     return {key: (c._a * (den // c._d), c._b * (den // c._d),
@@ -247,8 +250,7 @@ def _normal(coefs, den, k):
     left out and, on integer parts, the common factor divided out.  coefs
     is a new dict, which this takes over."""
     if den is None:
-        coefs, den = _exact_parts({key: c for key, c in coefs.items()
-                                   if not c.is_zero()})
+        coefs = {key: c for key, c in coefs.items() if not _fzero(c)}
     else:
         for key in [key for key, t in coefs.items() if not any(t)]:
             del coefs[key]
@@ -268,10 +270,10 @@ def _normal(coefs, den, k):
 
 def _operands(f, g):
     """The numerators of f and g on one path, and whether it is the exact
-    one: integer parts when both are exact, CScalars otherwise."""
+    one: integer parts when both are exact, complex values otherwise."""
     if f.den is not None and g.den is not None:
         return f.coefs, g.coefs, True
-    return f.num, g.num, False
+    return _complex_coefs(f), _complex_coefs(g), False
 
 
 def _scaled(coefs, n):
@@ -281,13 +283,15 @@ def _scaled(coefs, n):
 
 def _ring(den):
     """(add, sub, scale by an int, is_zero, zero) on the coefficients
-    of a numerator: integer parts when den is an int, CScalars when it is
-    None.  The CScalar operators are looked up on each call, so wrappers
-    installed on the class (perfbench counts them) see the float path."""
+    of a numerator: integer parts when den is an int, complex values when
+    it is None."""
     if den is None:
-        return (CScalar.__add__, CScalar.__sub__, CScalar.__mul__,
-                CScalar.is_zero, CScalar(0))
+        return operator.add, operator.sub, operator.mul, _fzero, 0j
     return _qadd, _qsub, _qscale, _qzero, (0, 0, 0, 0)
+
+
+def _fzero(x, tol=DEFAULT_TOL):
+    return abs(x.real) <= tol and abs(x.imag) <= tol
 
 
 def _qadd(x, y):
@@ -322,6 +326,30 @@ def _convolve(out, a, b, n=1):
             out[key] = x if t is None else (t[0] + x[0], t[1] + x[1],
                                             t[2] + x[2], t[3] + x[3])
     return out
+
+
+def _fconvolve(products):
+    """The product numerator of (sign, a, b) triples of complex numerators:
+    sign times the product of a and b, summed.  Each monomial is the
+    correctly rounded sum of the rounded products x * y that reach it, the
+    real and imaginary parts apart (Shewchuk's exactly rounded summation,
+    as math.fsum does it), so it does not depend on the order of the
+    terms."""
+    parts = {}
+    for sign, a, b in products:
+        for (p, q), x in a.items():
+            if sign < 0:
+                x = -x
+            for (r, s), y in b.items():
+                key = (p + r, q + s)
+                t = parts.get(key)
+                if t is None:
+                    parts[key] = [x * y]
+                else:
+                    t.append(x * y)
+    return {key: complex(fsum([t.real for t in ts]),
+                         fsum([t.imag for t in ts]))
+            for key, ts in parts.items()}
 
 
 def _raise(coefs, times, add):
@@ -385,13 +413,6 @@ class TwistorForm(Form):
     def wedge(self, other: "TwistorForm") -> "TwistorForm":
         # common (1 + z zbar) factors would otherwise compound through
         # every later product, so each coefficient leaves reduced
-        if not (self.is_exact and other.is_exact):
-            # float sums round in the engine's order, so they keep it
-            out = wedge(self, other)
-            for key, f in out.terms.items():
-                out.terms[key] = f.reduce()
-            out._prune()
-            return out
         if self.model is not other.model:
             raise ModelError("forms live on different models")
         # the pairs of each output key, in the engine's order
@@ -401,19 +422,37 @@ class TwistorForm(Form):
                 key, sign = MERGED[ka, kb]
                 if sign:
                     pairs.setdefault(key, []).append((sign, fa, fb))
-        # one integer sum of products per key, over the common denominator
-        # and the common power of (1 + z zbar)
+        exact = self.is_exact and other.is_exact
+        rounded = {}  # id -> complex numerator, once per factor
+
+        def as_complex(f):
+            c = rounded.get(id(f))
+            if c is None:
+                c = rounded[id(f)] = _complex_coefs(f)
+            return c
+
         terms = {}
         for key, group in pairs.items():
-            den, k = 1, 0
-            for _, fa, fb in group:
-                d = fa.den * fb.den
-                den, k = den // gcd(den, d) * d, max(k, fa.k + fb.k)
-            out = {}
-            for sign, fa, fb in group:
-                _convolve(out, _raise(fa.coefs, k - fa.k - fb.k, _qadd),
-                          fb.coefs, sign * den // (fa.den * fb.den))
-            f = _normal(out, den, k)
+            if exact or all(fa.den and fb.den for _, fa, fb in group):
+                # one integer sum of products over the common denominator
+                # and the common power of (1 + z zbar)
+                den, k = 1, 0
+                for _, fa, fb in group:
+                    d = fa.den * fb.den
+                    den, k = den // gcd(den, d) * d, max(k, fa.k + fb.k)
+                out = {}
+                for sign, fa, fb in group:
+                    _convolve(out, _raise(fa.coefs, k - fa.k - fb.k, _qadd),
+                              fb.coefs, sign * den // (fa.den * fb.den))
+                f = _normal(out, den, k)
+            else:
+                # one exactly rounded sum per monomial over the common
+                # power of (1 + z zbar)
+                k = max(fa.k + fb.k for _, fa, fb in group)
+                f = _normal(_fconvolve(
+                    [(sign, _raise(as_complex(fa), k - fa.k - fb.k,
+                                   operator.add), as_complex(fb))
+                     for sign, fa, fb in group]), None, k)
             if f.coefs:
                 terms[key] = f.reduce()
         return self._normal(self.model, self.degree + other.degree, terms)

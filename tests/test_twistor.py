@@ -760,8 +760,74 @@ def float_form(model, degree, rng, exact_share):
          else float_fiber(rng)) for n in range(4)])
 
 
-def fiber_strings(form):
-    return [(key, list(f.coefs), repr(f)) for key, f in form.terms.items()]
+def complex_num(f):
+    """The numerator of f as complex values, each rounded as complex()
+    rounds a CScalar."""
+    return {key: complex(c) for key, c in f.num.items()}
+
+
+def raised_num(f, times):
+    """complex_num(f) times (1 + z zbar)^times, one factor at a time."""
+    num = complex_num(f)
+    for _ in range(times):
+        out = {}
+        for (p, q), x in num.items():
+            for key in ((p, q), (p + 1, q + 1)):
+                out[key] = out[key] + x if key in out else x
+        num = out
+    return num
+
+
+def rounded_sum(products, k):
+    """The fiber function over (1 + z zbar)^k whose monomials are the sums
+    of (sign, x, y) products x * y, each product rounded as the complex
+    product rounds it, summed as Fractions and rounded once."""
+    sums = {}
+    for sign, x, y in products:
+        for (p, q), xv in x.items():
+            for (r, s), yv in y.items():
+                xy = xv * yv
+                acc = sums.setdefault((p + r, q + s), [0, 0])
+                acc[0] += sign * Fraction(xy.real)
+                acc[1] += sign * Fraction(xy.imag)
+    return FiberFunction({key: complex(float(re), float(im))
+                          for key, (re, im) in sums.items()}, k)
+
+
+def rounded_wedge(a, b):
+    """TwistorForm.wedge at full length: per leg key, the exact sum of
+    products when every pair is exact, else rounded_sum over the raised
+    factors; each coefficient reduced.  Also the number of float keys."""
+    groups = {}
+    for ka, fa in a.terms.items():
+        for kb, fb in b.terms.items():
+            key, sign = sort_indices(ka + kb)
+            if sign:
+                groups.setdefault(key, []).append((sign, fa, fb))
+    terms, float_keys = {}, 0
+    for key, group in groups.items():
+        if all(fa.is_exact and fb.is_exact for _, fa, fb in group):
+            f = FiberFunction()
+            for sign, fa, fb in group:
+                f = f + fa * fb * sign
+        else:
+            float_keys += 1
+            k = max(fa.k + fb.k for _, fa, fb in group)
+            f = rounded_sum([(sign, raised_num(fa, k - fa.k - fb.k),
+                              complex_num(fb)) for sign, fa, fb in group], k)
+        f = f.reduce()
+        if f.coefs:
+            terms[key] = f
+    return terms, float_keys
+
+
+def bits(f):
+    """den, k and the sorted numerator, floats by their bits (so -0.0 and
+    0.0 differ)."""
+    num = sorted(f.coefs.items())
+    if f.den is None:
+        num = [(key, c.real.hex(), c.imag.hex()) for key, c in num]
+    return f.den, f.k, num
 
 
 class TestExactWedgeKernel:
@@ -773,19 +839,19 @@ class TestExactWedgeKernel:
         for z in sample_points(5, 3):
             assert got.eval_terms(z) == want.eval_terms(z)
 
-    def engine_calls(self, monkeypatch):
+    def float_sums(self, monkeypatch):
         calls = []
 
-        def counted(a, b, fn=wedge):
+        def counted(products, fn=twistor._fconvolve):
             calls.append(1)
-            return fn(a, b)
+            return fn(products)
 
-        monkeypatch.setattr(twistor, "wedge", counted)
+        monkeypatch.setattr(twistor, "_fconvolve", counted)
         return calls
 
     def test_random_forms_match_the_former_path(self, t23, monkeypatch):
         rng = random.Random(25)
-        calls = self.engine_calls(monkeypatch)
+        calls = self.float_sums(monkeypatch)
         cancelled = 0
         for da, db in [(0, 2), (1, 1), (1, 2), (2, 2), (2, 3), (3, 1)]:
             for _ in range(6):
@@ -813,19 +879,43 @@ class TestExactWedgeKernel:
                                    former_wedge(mu.d(), want))
 
     @pytest.mark.parametrize("exact_share", [0.0, 0.5])
-    def test_float_and_mixed_forms_take_the_former_path(
+    def test_float_and_mixed_forms_round_each_monomial_once(
             self, t23, monkeypatch, exact_share):
         rng = random.Random(f"float-{exact_share}")
-        calls = self.engine_calls(monkeypatch)
+        calls = self.float_sums(monkeypatch)
+        float_keys = 0
         for da, db in [(1, 1), (1, 2), (2, 2)]:
             for _ in range(6):
                 a = float_form(t23, da, rng, exact_share)
                 b = (rand_split_form(t23, db, rng) if rng.randrange(2)
                      else float_form(t23, db, rng, exact_share))
                 assert not (a.is_exact and b.is_exact)
-                assert fiber_strings(a.wedge(b)) == \
-                    fiber_strings(former_wedge(a, b))
-        assert len(calls) == 18
+                got = a.wedge(b)
+                want, n = rounded_wedge(a, b)
+                float_keys += n
+                assert sorted(got.terms) == sorted(want)
+                for key, f in want.items():
+                    assert bits(got.terms[key]) == bits(f), key
+        # one float sum per key with a float pair, and none for the keys
+        # whose pairs are all exact
+        assert len(calls) == float_keys > 18
+
+    @pytest.mark.parametrize("exact_share", [0.0, 0.5])
+    def test_float_products_round_each_monomial_once(self, exact_share):
+        rng = random.Random(f"product-{exact_share}")
+        for _ in range(40):
+            # up to four monomials, so that three or more products meet
+            f = float_fiber(rng) * float_fiber(rng)
+            g = rand_fiber(rng) if rng.random() < exact_share \
+                else float_fiber(rng)
+            want = rounded_sum([(1, complex_num(f), complex_num(g))],
+                               f.k + g.k)
+            assert bits(f * g) == bits(want)
+            assert bits(g * f) == bits(want)
+        # summed in order, 1e16 + 1 - 1e16 would be 0.0
+        f = fib({(0, 0): 1e16, (1, 0): 1.0, (2, 0): -1e16})
+        g = fib({(2, 0): 1, (1, 0): 1, (0, 0): 1})
+        assert (f * g).coefs[(2, 0)] == 1
 
 
 # FiberFunction products in one warm cr --structure j0 of the pinned exact
@@ -860,6 +950,39 @@ def test_cr_wedges_without_per_pair_products(tmp_path, monkeypatch):
     assert code == 0
     assert out == (DATA / "cr_j0_tor23_rho1.json").read_text()
     assert len(calls) <= MAX_FIBER_MULS
+
+
+# CScalar products in one warm float cr --structure j0 of tor27 (rho = 1,
+# phi = 0.7): none now, 1,985 when float fiber functions held CScalars
+MAX_CSCALAR_MULS = 50
+
+
+def test_float_cr_multiplies_no_cscalars(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(entry_json("tor27", {"rho": "1",
+                                                    "phi": "0.7"})))
+
+    def cr():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["cr", str(path), "--structure", "j0", "--json",
+                         "--tol", "1e-9"])
+        return code, out.getvalue()
+
+    cr()  # fills the caches every process shares
+    calls = []
+
+    def counted(*args, fn=CScalar.__mul__):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(CScalar, "__mul__", counted)
+    monkeypatch.setattr(CScalar, "__rmul__", counted)
+    code, out = cr()
+    monkeypatch.undo()
+    assert code == 0
+    assert out == (DATA / "cr_j0_tor27_rho1_phi0.7.json").read_text()
+    assert len(calls) <= MAX_CSCALAR_MULS
 
 
 # -- tolerance --------------------------------------------------------------
