@@ -34,6 +34,7 @@ from .scalar import DEFAULT_TOL, ZERO, CScalar, Scalar, cscalar, scalar, sqrt3
 
 N = 5
 QUARTER = Scalar(Fraction(1, 4))
+ONE = Scalar(1)
 
 
 class StructureError(ValueError):
@@ -45,8 +46,19 @@ class StructureError(ValueError):
 
 
 def _one_form(model: CoframeModel, coeffs) -> Form:
-    """The 1-form sum_k coeffs[k] theta^(k+1)."""
-    return model.form(1, [((k + 1,), c) for k, c in enumerate(coeffs)])
+    """The 1-form sum_k coeffs[k] theta^(k+1), each value coerced and
+    dropped at zero as the checked constructor does."""
+    terms = {}
+    for k, c in enumerate(coeffs):
+        c = scalar(c)
+        if not c.is_zero():
+            terms[(k + 1,)] = c
+    return Form._normal(model.frame, 1, terms)
+
+
+def _basis(model: CoframeModel, i: int) -> Form:
+    """The 1-form theta^i."""
+    return Form._normal(model.frame, 1, {(i,): ONE})
 
 
 class So3Connection:
@@ -123,7 +135,7 @@ def levi_civita(model: CoframeModel) -> ConnTensor:
         check = d_forms[i]
         for j in range(N):
             check = check + wedge(_one_form(model, xi.x[i][j]),
-                                  model.basis(j + 1))
+                                  _basis(model, j + 1))
         if not check.is_zero():
             raise RuntimeError("first structure equation failed to close")
     return xi
@@ -141,7 +153,7 @@ def _bundle_torsion_tensor(model: CoframeModel):
         Ti = model.d_of(i + 1)
         for j in range(N):
             for t, e in support[i][j]:
-                Ti = Ti + wedge(gammas[t] * e, model.basis(j + 1))
+                Ti = Ti + wedge(gammas[t] * e, _basis(model, j + 1))
         if Ti.has_fiber_legs():
             raise ModelError(
                 "declared connection does not absorb the vertical part of "
@@ -238,7 +250,7 @@ def bianchi_check(model: CoframeModel, gamma: So3Connection, T: Form, r_forms):
                 res = res + wedge(g[t] * e, tors[j])
         for j in range(N):
             for t, e in support[i][j]:
-                res = res - wedge(r_forms[t] * e, model.basis(j + 1))
+                res = res - wedge(r_forms[t] * e, _basis(model, j + 1))
         first = max(first, res.max_coeff_mag())
     second = max((ext_d(r_forms[a]) + wedge(g[b], r_forms[c])
                   - wedge(g[c], r_forms[b])).max_coeff_mag()
