@@ -423,14 +423,6 @@ class TwistorForm(Form):
                 if sign:
                     pairs.setdefault(key, []).append((sign, fa, fb))
         exact = self.is_exact and other.is_exact
-        rounded = {}  # id -> complex numerator, once per factor
-
-        def as_complex(f):
-            c = rounded.get(id(f))
-            if c is None:
-                c = rounded[id(f)] = _complex_coefs(f)
-            return c
-
         terms = {}
         for key, group in pairs.items():
             if exact or all(fa.den and fb.den for _, fa, fb in group):
@@ -450,8 +442,8 @@ class TwistorForm(Form):
                 # power of (1 + z zbar)
                 k = max(fa.k + fb.k for _, fa, fb in group)
                 f = _normal(_fconvolve(
-                    [(sign, _raise(as_complex(fa), k - fa.k - fb.k,
-                                   operator.add), as_complex(fb))
+                    [(sign, _raise(_complex_coefs(fa), k - fa.k - fb.k,
+                                   operator.add), _complex_coefs(fb))
                      for sign, fa, fb in group]), None, k)
             if f.coefs:
                 terms[key] = f.reduce()
