@@ -30,7 +30,8 @@ from .repr import (
     torsion_type,
     upsilon_prime,
 )
-from .scalar import DEFAULT_TOL, ZERO, CScalar, Scalar, cscalar, scalar, sqrt3
+from .scalar import (DEFAULT_TOL, CScalar, Scalar, cscalar, scalar, sqrt3,
+                     sum_products)
 
 N = 5
 QUARTER = Scalar(Fraction(1, 4))
@@ -276,19 +277,14 @@ def _lc_riemann(model: CoframeModel, xi: ConnTensor) -> CurvTensor:
 
 
 def _torsion_square(T: Form) -> Tensor2:
-    """t_ij = sum_kl T_ikl T_jkl over the (k, l) that rows i and j share.  On
-    exact T a row holds its nonzero T_ikl, read off the terms of T; on float
-    T all 25, so each sum keeps the dense order and its float zeros."""
-    if T.is_exact:
-        rows = [{} for _ in range(N)]
-        for (a, b, c), v in T.terms.items():
-            for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-                rows[i - 1][j, k], rows[i - 1][k, j] = v, -v
-    else:
-        rows = [{(k, l): v for k, row in enumerate(plane)
-                 for l, v in enumerate(row)} for plane in form_array(T)]
-    return Tensor2._of([[sum((v * rj[key] for key, v in ri.items()
-                              if key in rj), ZERO) for rj in rows]
+    """t_ij = sum_kl T_ikl T_jkl: the sum_products over the (k, l) that rows
+    i and j share, a row holding the T_ikl read off the terms of T."""
+    rows = [{} for _ in range(N)]
+    for (a, b, c), v in T.terms.items():
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            rows[i - 1][j, k], rows[i - 1][k, j] = v, -v
+    return Tensor2._of([[sum_products((v, rj[key]) for key, v in ri.items()
+                                      if key in rj) for rj in rows]
                         for ri in rows])
 
 

@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .exterior import Form, hodge_star, sort_indices, wedge
-from .scalar import (DEFAULT_TOL, ZERO, Scalar, dot, is_exact_zero, rref,
-                     scalar)
+from .scalar import (DEFAULT_TOL, ZERO, Scalar, dot, rref, scalar,
+                     sum_products, total)
 from .upsilon import E_matrices, standard_upsilon
 
 N = 5
@@ -97,26 +97,14 @@ def form_array(form: Form):
     return x
 
 
-def _plus(a, b, exact):
-    """a + b; when exact, a zero term gives the other without an addition."""
-    if exact:
-        if is_exact_zero(a):
-            return b
-        if is_exact_zero(b):
-            return a
-    return a + b
-
-
 class _Dense:
     """Norm, exactness, zero test and largest magnitude over the entries of
-    a dense tensor, in index order."""
+    a dense tensor."""
 
     __slots__ = ()
 
     def norm_sq(self):
-        exact = self.is_exact
-        return sum((v * v for v in self.entries()
-                    if not (exact and is_exact_zero(v))), ZERO)
+        return sum_products((v, v) for v in self.entries())
 
     @property
     def is_exact(self):
@@ -131,38 +119,31 @@ class _Dense:
 
 class Tensor2(_Dense):
     """Dense element of the 25-dimensional space of two-tensors on R^5.
-    Operations on exact operands leave out the arithmetic with an exact
-    zero; with a float operand they do all of it, as a dense loop does."""
+    Each entry of a sum, a scaling or an inner product is one total or
+    sum_products, so an exact zero adds and multiplies nothing."""
 
-    __slots__ = ("m", "_exact")
+    __slots__ = ("m",)
 
     def __init__(self, rows):
         if len(rows) != N or any(len(r) != N for r in rows):
             raise ValueError("Tensor2 needs a 5x5 array")
         self.m = [[scalar(x) for x in row] for row in rows]
-        self._exact = None
 
     @classmethod
-    def _of(cls, rows, exact=False):
-        """A Tensor2 of Scalars, unchecked; exact=True if all are exact."""
+    def _of(cls, rows):
+        """A Tensor2 of Scalars, unchecked."""
         t = object.__new__(cls)
-        t.m, t._exact = rows, exact or None
+        t.m = rows
         return t
-
-    @property
-    def is_exact(self):
-        if self._exact is None:
-            self._exact = all(v.is_exact for row in self.m for v in row)
-        return self._exact
 
     @classmethod
     def zero(cls):
-        return cls._of([[ZERO] * N for _ in range(N)], True)
+        return cls._of([[ZERO] * N for _ in range(N)])
 
     @classmethod
     def metric(cls):
         return cls._of([[Scalar(1) if i == j else ZERO for j in range(N)]
-                        for i in range(N)], True)
+                        for i in range(N)])
 
     @classmethod
     def basis(cls, i, j):
@@ -185,22 +166,17 @@ class Tensor2(_Dense):
         return Form(model, 2, terms)
 
     def __add__(self, other):
-        exact = self.is_exact and other.is_exact
-        return Tensor2._of([[_plus(a, b, exact) for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.m, other.m)], exact)
+        return Tensor2._of([[total([a, b]) for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.m, other.m)])
 
     def __sub__(self, other):
-        exact = self.is_exact and other.is_exact
-        return Tensor2._of([[_plus(a, -b, exact) for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.m, other.m)], exact)
+        return Tensor2._of([[total([a, -b]) for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.m, other.m)])
 
     def scale(self, c):
         c = scalar(c)
-        exact = c.is_exact and self.is_exact
-        zero = exact and is_exact_zero(c)
-        return Tensor2._of([[ZERO if zero or exact and is_exact_zero(a)
-                             else c * a for a in row] for row in self.m],
-                           exact)
+        return Tensor2._of([[sum_products([(c, a)]) for a in row]
+                            for row in self.m])
 
     def __eq__(self, other):
         if not isinstance(other, Tensor2):
@@ -218,22 +194,13 @@ class Tensor2(_Dense):
 
     def transpose(self):
         return Tensor2._of([[self.m[j][i] for j in range(N)]
-                            for i in range(N)], self._exact)
+                            for i in range(N)])
 
     def trace(self):
-        acc = ZERO
-        for i in range(N):
-            acc = acc + self.m[i][i]
-        return acc
+        return total([self.m[i][i] for i in range(N)])
 
     def inner(self, other):
-        exact = self.is_exact and other.is_exact
-        acc = ZERO
-        for r1, r2 in zip(self.m, other.m):
-            for a, b in zip(r1, r2):
-                if not (exact and (is_exact_zero(a) or is_exact_zero(b))):
-                    acc = acc + a * b
-        return acc
+        return sum_products(zip(self.entries(), other.entries()))
 
     def entries(self):
         return (e for row in self.m for e in row)
@@ -258,11 +225,7 @@ class ConnTensor(_Dense):
             if not 0 <= i < j < N or not 0 <= k < N:
                 raise ValueError("need 0 <= i < j < 5 and 0 <= k < 5")
             v = scalar(v)
-            if v.is_exact:
-                x[i][j][k], x[j][i][k] = v, -v
-            else:  # 0 + (-0.0) and 0 - 0.0 are +0.0: floats keep the sums
-                x[i][j][k] = x[i][j][k] + v
-                x[j][i][k] = x[j][i][k] - v
+            x[i][j][k], x[j][i][k] = v, -v
         return cls(x)
 
     @classmethod
@@ -322,32 +285,22 @@ class CurvTensor:
 
     @property
     def x(self):
-        """The dense K_ijkl, indexed from 0.  Where a float rho^a_kl makes
-        column (k, l) a float, an entry keeps the products by the zero
-        (A_a)_ij, each a float 0.0, as a dense sum does."""
+        """The dense K_ijkl, indexed from 0: each entry the sum_products of
+        the nonzero (A_a)_ij with the rho^a_kl, built on first read."""
         if self._x is None:
             R = [form_array(f) for f in self.forms]
-
-            def entry(i, j, k, l):
-                terms = dict(self.support[i][j])
-                floats = not all(r[k][l].is_exact for r in R)
-                return sum((terms.get(a, Scalar(0)) * R[a][k][l]
-                            for a in (range(len(R)) if floats else terms)),
-                           Scalar(0))
-            self._x = [[[[entry(i, j, k, l) for l in range(N)]
-                         for k in range(N)] for j in range(N)] for i in range(N)]
+            self._x = [[[[sum_products((e, R[a][k][l])
+                                       for a, e in self.support[i][j])
+                          for l in range(N)] for k in range(N)]
+                        for j in range(N)] for i in range(N)]
         return self._x
 
     def ricci(self):
-        """k_jl = K_ijil, summed over the nonzero (A_a)_ij and, when every
-        form is exact, over the nonzero rho^a_il."""
+        """k_jl = K_ijil, the sum_products over i of the nonzero
+        (A_a)_ij with the rho^a_il."""
         R = [form_array(f) for f in self.forms]
-        exact = self.is_exact
-        return Tensor2._of([[sum((e * R[a][i][l] for i in range(N)
-                                  for a, e in self.support[i][j]
-                                  if not (exact
-                                          and is_exact_zero(R[a][i][l]))),
-                                 ZERO)
+        return Tensor2._of([[sum_products((e, R[a][i][l]) for i in range(N)
+                                          for a, e in self.support[i][j])
                              for l in range(N)] for j in range(N)])
 
     def norm_sq(self):
@@ -401,35 +354,20 @@ def upsilon_hat(W: Tensor2) -> Tensor2:
 
 
 def upsilon_grave(S: Tensor2):
-    """Contraction v_i = Y_ijk S_jk for symmetric S, over the nonzero Y_ijk
-    and, when S is exact, the nonzero S_jk."""
+    """Contraction v_i = Y_ijk S_jk for symmetric S: the sum_products of
+    the nonzero Y_jki = Y_ijk with the S_jk."""
     if not (S - S.transpose()).is_zero():
         raise ValueError("grave operator needs a symmetric input")
-    d, exact = _dense_upsilon(), S.is_exact
-    out = [Scalar(0)] * N
-    for i in range(N):
-        acc = Scalar(0)
-        for j in range(N):
-            for k in range(N):
-                v = d[i][j][k]
-                if not (v.is_zero() or exact and is_exact_zero(S.m[j][k])):
-                    acc = acc + v * S.m[j][k]
-        out[i] = acc
-    return out
+    return [sum_products((y, S.m[j][k]) for j, k, y in entries)
+            for entries in _upsilon_by_last()]
 
 
 def upsilon_bar(v) -> Tensor2:
-    """The symmetric matrix Y_ijk v_k of contraction against a vector.  An
-    exact zero Y_ijk or v_k is skipped only when every v_k is exact, because
-    a product with a float is a float 0.0."""
+    """The symmetric matrix Y_ijk v_k of contraction against a vector: the
+    sum_products of the nonzero Y_ijk with the v_k."""
     v = [scalar(c) for c in v]
-    d = _dense_upsilon()
-    exact = all(c.is_exact for c in v)
-    return Tensor2._of([[sum((d[i][j][k] * v[k] for k in range(N)
-                              if not (exact and (is_exact_zero(d[i][j][k])
-                                                 or is_exact_zero(v[k])))),
-                             ZERO)
-                         for j in range(N)] for i in range(N)])
+    return Tensor2._of([[sum_products((y, v[k]) for k, y in entries)
+                         for entries in row] for row in _upsilon_third()])
 
 
 def upsilon_check(S: Tensor2) -> Tensor2:
@@ -447,7 +385,7 @@ def decompose_t2(W: Tensor2):
     S = W.sym()
     c3 = Tensor2.zero()
     for E in E_matrices():
-        Emat = Tensor2._of(E, True)
+        Emat = Tensor2._of(E)
         c3 = c3 + Emat.scale(A.inner(Emat) * TENTH)
     c7 = A - c3
     c1 = Tensor2.metric().scale(S.trace() * FIFTH)
@@ -604,7 +542,7 @@ def decompose_curvature(K: CurvTensor, tol=DEFAULT_TOL):
     comps = {**decompose_t2(k), "c1": c1, "c15": K.total_skew_dual()}
     norms_sq = {"c1": c1 * c1,
                 **{n: comps[n].norm_sq() for n in ("c3", "c7", "c5", "c9")},
-                "c15": sum((v * v for v in comps["c15"]), Scalar(0))}
+                "c15": sum_products((v, v) for v in comps["c15"])}
     norms = {name: float(nsq) ** 0.5 for name, nsq in norms_sq.items()}
     if K.is_exact:
         comps["present"] = {n: not nsq.is_zero() for n, nsq in norms_sq.items()}

@@ -11,7 +11,9 @@ in the same normal form, and holds two Scalar parts once either is a float.
 Exact and float scalars mix freely; any operation that touches a float
 yields a float.  Equality is exact: floats compare by value.  A tolerance is
 an argument (``is_zero(tol)`` and the ``tol`` of the linear algebra),
-defaulting to :data:`DEFAULT_TOL`.
+defaulting to :data:`DEFAULT_TOL`.  The tensor contractions sum through
+:func:`total` and :func:`sum_products`: exactly when every term is exact,
+and otherwise as the correctly rounded sum of the rounded terms.
 
 The wire format is a tiny grammar::
 
@@ -33,7 +35,7 @@ import math
 import os
 import re
 from fractions import Fraction
-from math import gcd
+from math import fsum, gcd
 
 DEFAULT_TOL = 1e-9
 
@@ -589,6 +591,68 @@ def cscalar(x) -> CScalar:
 
 
 # ---------------------------------------------------------------------------
+# sums
+# ---------------------------------------------------------------------------
+
+
+def total(terms, zero=ZERO):
+    """The sum of a list of Scalars, of CScalars or of complex floats, by
+    the one rule for sums in this package: exact when every term is exact,
+    and otherwise the correctly rounded sum of the rounded terms (math.fsum,
+    after Shewchuk), the real and the imaginary parts apart, a CScalar part
+    whose terms are all exact staying exact.  A float sum then depends
+    neither on the order of its terms nor on its exact zeros, and a zero
+    sum is +0.0.  An empty list gives zero."""
+    if not terms:
+        return zero
+    acc = terms[0]
+    if type(acc) is complex:
+        return complex(_fsum([t.real for t in terms]),
+                       _fsum([t.imag for t in terms]))
+    if type(acc) is CScalar:
+        if any(t._d is None for t in terms):
+            return _cjoin(total([t.re for t in terms]),
+                          total([t.im for t in terms]))
+        for t in terms[1:]:
+            acc = acc + t
+        return acc
+    if any(t._f is not None for t in terms):
+        return Scalar(_float=_fsum([float(t) for t in terms]))
+    n = m = count = 0
+    d = 1
+    for t in terms:
+        if t._n or t._m:  # an exact zero adds nothing
+            g = gcd(d, t._d)
+            f, ft = t._d // g, d // g
+            n, m, d = n * f + t._n * ft, m * f + t._m * ft, d * f
+            count, acc = count + 1, t
+    return acc if count < 2 else _norm(n, m, d)
+
+
+def _fsum(xs):
+    """math.fsum(xs), or the plain sum, inf or nan, where fsum overflows."""
+    try:
+        return fsum(xs)
+    except (OverflowError, ValueError):
+        return sum(xs)
+
+
+def sum_products(pairs, zero=ZERO):
+    """The total of the products x * y over the (x, y) in pairs, leaving
+    out each pair with an exact-zero factor, on any input: that keeps a sum
+    of exact products exact, and changes no float sum."""
+    products = []
+    for x, y in pairs:
+        if type(x) is Scalar is type(y):  # is_exact_zero, inlined
+            if x._n == 0 == x._m or y._n == 0 == y._m:
+                continue
+        elif is_exact_zero(x) or is_exact_zero(y):
+            continue
+        products.append(x * y)
+    return total(products, zero)
+
+
+# ---------------------------------------------------------------------------
 # field-generic linear algebra
 # ---------------------------------------------------------------------------
 
@@ -751,17 +815,9 @@ def det(rows, tol: float = DEFAULT_TOL):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for l in range(1, k):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    zero = _zero_like(A[0][0])
+    return [[sum_products(zip(row, col), zero) for col in zip(*B)]
+            for row in A]
 
 
 def mat_add(A, B):
@@ -789,19 +845,8 @@ def identity(n, like=None):
 
 
 def dot(u, v):
-    """sum u_i v_i, leaving out each term whose first factor is an exact
-    zero, and each exact-zero product of exact factors once the sum is
-    exact: adding that changes neither an exact sum nor a float zero's
-    sign."""
-    acc = None
-    for x, y in zip(u, v):
-        if isinstance(x, Scalar) and x._f is None and (
-                not x._n and not x._m
-                or type(acc) is Scalar and acc._f is None and type(y) is Scalar
-                and y._f is None and not y._n and not y._m):
-            continue
-        acc = x * y if acc is None else acc + x * y
-    return acc if acc is not None else u[0] * v[0]
+    """sum u_i v_i under the rule of sum_products."""
+    return sum_products(zip(u, v))
 
 
 def spectral_projector(L, eigenvalues, lam):

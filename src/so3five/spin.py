@@ -15,7 +15,6 @@ from .connection import Analysis, stage
 from .exterior import CoframeModel
 from .scalar import (
     DEFAULT_TOL,
-    ZERO,
     I,
     CScalar,
     Scalar,
@@ -25,35 +24,35 @@ from .scalar import (
     mat_mul,
     mat_scale,
     sqrt3,
+    sum_products,
     zeros,
 )
 
 HALF = Scalar(1) / 2
 NINE_SIXTEENTHS = Scalar(9) / 16
 PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+CZERO = CScalar(0)
 
 
 # -- 4x4 determinant -------------------------------------------------------
 
 
 def det4(A) -> CScalar:
-    """Cofactor expansion along the first row; when every entry is exact,
-    a cofactor whose first-row entry is zero is left out."""
+    """Cofactor expansion along the first row, and on down the rows: each
+    minor is the sum_products of its first-row entries with their signed
+    cofactors, and the cofactor of an exact-zero entry is not formed."""
 
-    def det3(M):
-        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+    def det(row, cols):
+        if len(cols) == 1:
+            return A[row][cols[0]]
+        terms = []
+        for n, c in enumerate(cols):
+            if not is_exact_zero(A[row][c]):
+                minor = det(row + 1, cols[:n] + cols[n + 1:])
+                terms.append((A[row][c], -minor if n % 2 else minor))
+        return sum_products(terms, CZERO)
 
-    exact = all(x.is_exact for row in A for x in row)
-    total = CScalar(0)
-    for col in range(4):
-        if exact and is_exact_zero(A[0][col]):
-            continue
-        minor = [[A[i][j] for j in range(4) if j != col] for i in range(1, 4)]
-        term = A[0][col] * det3(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return total
+    return det(0, (0, 1, 2, 3))
 
 
 # -- the Clifford generators and the spinor so(3) basis ---------------------
@@ -135,18 +134,16 @@ def det_identity(coeffs):
     """W = sum_I c_I bold-E_I, det W, and (9/16) (sum_I c_I^2)^2.
 
     The determinant identity says the two agree for every coefficient
-    triple.  Returns (W, det W, predicted, |det W - predicted|); zero
-    coefficients add nothing to W and are skipped, and so are their squares
-    when every coefficient is exact.
+    triple.  Returns (W, det W, predicted, |det W - predicted|).  Each
+    entry of W, and the sum of squares, is one sum_products; a zero
+    coefficient adds nothing to W.
     """
-    W = zeros(4, like=I)
-    for c, E in zip(coeffs, spin_basis().E):
-        if not c.is_zero():
-            W = mat_add(W, mat_scale(cscalar(c), E))
+    terms = [(cscalar(c), E) for c, E in zip(coeffs, spin_basis().E)
+             if not c.is_zero()]
+    W = [[sum_products([(c, E[r][s]) for c, E in terms], CZERO)
+          for s in range(4)] for r in range(4)]
     d = det4(W)
-    exact = all(c.is_exact for c in coeffs)
-    square_sum = sum((c * c for c in coeffs
-                      if not (exact and is_exact_zero(c))), ZERO)
+    square_sum = sum_products((c, c) for c in coeffs)
     predicted = NINE_SIXTEENTHS * square_sum * square_sum
     return W, d, predicted, (d - cscalar(predicted)).mag()
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import fsum, gcd
+from math import gcd
 
 from .connection import build_report, characteristic_connection, stage
 from .exterior import (MERGED, CoframeModel, Form, ModelError, ext_d,
                        hodge_star)
 from .repr import kappa_forms
 from .scalar import (_SQRT3_FLOAT, DEFAULT_TOL, CScalar, Scalar, _cnorm,
-                     cscalar, sqrt3)
+                     cscalar, sqrt3, total)
 
 HALF = Scalar(1) / 2
 
@@ -54,8 +54,9 @@ class FiberFunction:
             c = cscalar(val)
             if not c.is_zero():
                 store[(int(key[0]), int(key[1]))] = c
-        self.coefs, self.den = _exact_parts(store)
-        self.k = int(k) if store else 0
+        # a float value is tested again once rounded
+        f = _normal(*_exact_parts(store), int(k))
+        self.coefs, self.den, self.k = f.coefs, f.den, f.k
 
     @classmethod
     def const(cls, c) -> "FiberFunction":
@@ -167,9 +168,7 @@ class FiberFunction:
         z = complex(z)
         zb = z.conjugate()
         terms = [c * z ** p * zb ** q for (p, q), c in _complex_items(self)]
-        total = complex(fsum(t.real for t in terms),
-                        fsum(t.imag for t in terms))
-        return total / (1 + (z * zb).real) ** self.k
+        return total(terms, 0j) / (1 + (z * zb).real) ** self.k
 
     def __eq__(self, other):
         other = _as_fiber(other)
@@ -331,10 +330,8 @@ def _convolve(out, a, b, n=1):
 def _fconvolve(products):
     """The product numerator of (sign, a, b) triples of complex numerators:
     sign times the product of a and b, summed.  Each monomial is the
-    correctly rounded sum of the rounded products x * y that reach it, the
-    real and imaginary parts apart (Shewchuk's exactly rounded summation,
-    as math.fsum does it), so it does not depend on the order of the
-    terms."""
+    total of the rounded products x * y that reach it: their correctly
+    rounded sum, so it does not depend on the order of the terms."""
     parts = {}
     for sign, a, b in products:
         for (p, q), x in a.items():
@@ -347,9 +344,7 @@ def _fconvolve(products):
                     parts[key] = [x * y]
                 else:
                     t.append(x * y)
-    return {key: complex(fsum([t.real for t in ts]),
-                         fsum([t.imag for t in ts]))
-            for key, ts in parts.items()}
+    return {key: total(ts) for key, ts in parts.items()}
 
 
 def _raise(coefs, times, add):
@@ -570,10 +565,10 @@ def twistor_coframe(model: CoframeModel, tol: float = DEFAULT_TOL) -> dict:
 
 def _horizontal_dot(a: TwistorForm, b: TwistorForm) -> FiberFunction:
     """Complex-bilinear product of the pullback-metric components."""
-    total = FiberFunction()
+    out = FiberFunction()
     for i in range(1, 6):
-        total = total + a.coeff((i,)) * b.coeff((i,))
-    return total.reduce()
+        out = out + a.coeff((i,)) * b.coeff((i,))
+    return out.reduce()
 
 
 def _vertical_components(a: TwistorForm):

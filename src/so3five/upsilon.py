@@ -25,6 +25,7 @@ from .scalar import (
     DEFAULT_TOL,
     Scalar,
     det,
+    dot,
     nullspace,
     scalar,
     sqrt3,
@@ -93,27 +94,13 @@ class TernaryForm:
     def matrix_of(self, v):
         """The symmetric matrix Y_v with (Y_v)_ij = Y_ijk v_k."""
         v = [scalar(x) for x in v]
-        dense = self.dense()
-        out = []
-        for i in range(5):
-            row = []
-            for j in range(5):
-                acc = Scalar(0)
-                for k in range(5):
-                    acc = acc + dense[i][j][k] * v[k]
-                row.append(acc)
-            out.append(row)
-        return out
+        return [[dot(row, v) for row in plane] for plane in self.dense()]
 
     def value(self, u, v, w) -> Scalar:
-        u = [scalar(x) for x in u]
-        out = Scalar(0)
-        Mv = self.matrix_of(v)
+        """Y(u, v, w) = u_i (Y_v)_ij w_j."""
         w = [scalar(x) for x in w]
-        for i in range(5):
-            for j in range(5):
-                out = out + u[i] * Mv[i][j] * w[j]
-        return out
+        return dot([scalar(x) for x in u],
+                   [dot(row, w) for row in self.matrix_of(v)])
 
     def cubic(self, a) -> Scalar:
         return self.value(a, a, a)
@@ -124,9 +111,10 @@ class TernaryForm:
         """Coefficients in the new orthonormal frame: Y'(i,j,k) = Y(e_i,e_j,e_k),
         where frame is the list of five vectors e_i, with float entries.
 
-        Each coefficient sums ((e_il e_jm) e_kn) Y_lmn left to right in
-        (l, m, n) order, leaving out the terms with |e_il| or |e_jm| at most
-        DEFAULT_TOL, and is kept when its magnitude exceeds DEFAULT_TOL."""
+        Each coefficient is the math.fsum, the correctly rounded sum, of the
+        rounded products ((e_il e_jm) e_kn) Y_lmn over (l, m, n), leaving
+        out the terms with |e_il| or |e_jm| at most DEFAULT_TOL, and is kept
+        when its magnitude exceeds DEFAULT_TOL."""
         import numpy as np
 
         H = [[scalar(x) for x in e] for e in frame]
@@ -137,14 +125,12 @@ class TernaryForm:
         keys = [(i, j, k) for i in range(5) for j in range(i, 5)
                 for k in range(j, 5)]
         i, j, k = np.array(keys).T
-        # np.sum adds pairwise and einsum in its own order; cumsum adds in
-        # sequence, so each float sum is the one the term order gives
         terms = A[i][:, :, None, None] * A[j][:, None, :, None] \
             * H[k][:, None, None, :] * self.to_float_array()
-        sums = np.cumsum(terms.reshape(len(keys), 125), axis=1)[:, -1]
+        sums = map(math.fsum, terms.reshape(len(keys), 125).tolist())
         f = TernaryForm()
         f.entries = {(a + 1, b + 1, c + 1): Scalar.from_float(v)
-                     for (a, b, c), v in zip(keys, sums.tolist())
+                     for (a, b, c), v in zip(keys, sums)
                      if abs(v) > DEFAULT_TOL}
         return f
 

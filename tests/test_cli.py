@@ -520,9 +520,9 @@ class TestSelftest:
         assert_pinned_selftest(out_a, "selftest_seed_7.txt")
 
     def test_seed_10_is_pinned_with_its_residual(self, capsys):
-        # all of it, the acceptance-04 residual too: the last digit there
-        # moves with the order in which the rotated frame's terms are
-        # summed (at seeds 0 and 7 it does not)
+        # all of it, the acceptance-04 residual too: its last digit moves
+        # with how the rotated frame's sums are rounded (at seeds 0 and 7
+        # it does not)
         code, out, _ = run(capsys, "selftest", "--seed", "10")
         assert code == 0
         assert out == (DATA / "selftest_seed_10.txt").read_text()

@@ -30,6 +30,8 @@ from so3five.scalar import (
     solve,
     spectral_projector,
     sqrt3,
+    sum_products,
+    total,
 )
 
 
@@ -332,3 +334,78 @@ def test_spectral_projector_nontrivial():
     P = spectral_projector(L, [1, -1], 1)
     assert P == [[scalar(Fraction(1, 2))] * 2] * 2
     assert mat_mul(L, P) == P
+
+
+# -- the rule for sums -------------------------------------------------------
+
+EXACT_POOL = (Scalar(0), Scalar(0), Scalar(1), Scalar(-1), Scalar(3),
+              Scalar(Fraction(1, 3), Fraction(-2, 5)), Scalar(10 ** 16),
+              Scalar(-10 ** 16), Scalar(Fraction(-7, 2), 1))
+FLOAT_POOL = tuple(Scalar.from_float(f) for f in (
+    0.0, -0.0, 1.0, -1.0, 0.1, -0.7, 3.0, 1e16, -1e16, 2.5e-8, 1.75))
+
+
+def _exact_zero(x):
+    return x.is_exact and x.is_zero()
+
+
+def _rounded_sum(values):
+    """The plain Scalar sum when every value is exact; otherwise the sum of
+    the values as Fractions, rounded once to a float."""
+    if all(v.is_exact for v in values):
+        return sum(values, Scalar(0))
+    return float(sum(map(Fraction, map(float, values))))
+
+
+def _assert_rule(got, want):
+    if isinstance(want, float):
+        assert not got.is_exact
+        assert float(got).hex() == want.hex()
+    else:
+        assert got.is_exact and got == want
+
+
+def _draw(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("exact", "float"))
+    return rng.choice(EXACT_POOL if kind == "exact" else FLOAT_POOL)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+def test_sum_products_is_the_exact_or_the_correctly_rounded_sum(kind):
+    rng = random.Random(f"rule-{kind}")
+    for _ in range(400):
+        pairs = [(_draw(rng, kind), _draw(rng, kind))
+                 for _ in range(rng.randint(0, 8))]
+        products = [x * y for x, y in pairs
+                    if not (_exact_zero(x) or _exact_zero(y))]
+        _assert_rule(sum_products(pairs), _rounded_sum(products))
+        _assert_rule(total([x * y for x, y in pairs]),
+                     _rounded_sum([x * y for x, y in pairs]))
+
+
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+def test_complex_sum_products_follows_the_rule_part_by_part(kind):
+    rng = random.Random(f"crule-{kind}")
+    for _ in range(300):
+        pairs = [tuple(CScalar(_draw(rng, kind), _draw(rng, kind))
+                       for _ in range(2)) for _ in range(rng.randint(0, 6))]
+        products = [x * y for x, y in pairs
+                    if not (_exact_zero(x) or _exact_zero(y))]
+        got = sum_products(pairs, CScalar(0))
+        _assert_rule(got.re, _rounded_sum([p.re for p in products]))
+        _assert_rule(got.im, _rounded_sum([p.im for p in products]))
+
+
+def test_cancelling_terms_sum_exactly_rounded():
+    one, big = Scalar.from_float(1.0), Scalar.from_float(1e16)
+    # added in order, 1e16 + 1 - 1e16 is 0.0
+    for order in ([big, one, -big], [-big, one, big], [one, big, -big]):
+        assert float(total(order)) == 1.0
+        assert float(sum_products((v, Scalar(1)) for v in order)) == 1.0
+    assert total([1e16 + 1e16j, 1 + 1j, -1e16 - 1e16j]) == 1 + 1j
+    # a zero sum is +0.0; an exact zero factor leaves its product out
+    neg = Scalar.from_float(-0.0)
+    assert total([neg, neg]).to_string() == "0.0"
+    assert sum_products([(Scalar(0), big), (Scalar(2), Scalar(3))]) == 6
+    assert sum_products([(Scalar(0), big)]).is_exact

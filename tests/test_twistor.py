@@ -152,6 +152,15 @@ class TestFiberFunction:
             assert one.eval(z) == other.eval(z)
         assert one.eval(1) == complex(0.5, 0.5)
 
+    def test_a_float_monomial_is_tested_once_rounded(self):
+        # exact 1e-20 beside a float 0.0 is not an exact zero, but rounded
+        # it is within the tolerance, as is_zero() and _normal judge it
+        tiny = CScalar(Scalar(Fraction(1, 10 ** 20)), Scalar.from_float(0.0))
+        f = FiberFunction({(0, 0): tiny}, 1)
+        assert f.coefs == {}
+        assert f.is_zero()
+        assert f == FiberFunction()
+
 
 # -- the coframe ------------------------------------------------------------
 

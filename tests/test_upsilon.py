@@ -317,15 +317,17 @@ def random_so5(rng):
 
 
 def transform_reference(y, frame):
-    """Y'(i,j,k) = Y(e_i,e_j,e_k) as a loop over Scalars: the terms, their
-    order and the skipped ones that TernaryForm.transform reproduces."""
+    """Y'(i,j,k) = Y(e_i,e_j,e_k) over Scalars: the rounded products
+    ((e_il e_jm) e_kn) Y_lmn that TernaryForm.transform forms, without the
+    ones led by an entry of at most DEFAULT_TOL, summed exactly as
+    Fractions and rounded once."""
     H = [[scalar(x) for x in e] for e in frame]
     dense = y.dense()
     out = {}
     for i in range(5):
         for j in range(i, 5):
             for k in range(j, 5):
-                acc = Scalar(0)
+                acc = Fraction(0)
                 for l in range(5):
                     hl = H[i][l]
                     if hl.is_zero():
@@ -335,9 +337,11 @@ def transform_reference(y, frame):
                         if hm.is_zero():
                             continue
                         for n in range(5):
-                            acc = acc + hl * hm * H[k][n] * dense[l][m][n]
-                if not acc.is_zero():
-                    out[(i + 1, j + 1, k + 1)] = acc
+                            acc += Fraction(float(
+                                hl * hm * H[k][n] * dense[l][m][n]))
+                v = Scalar.from_float(float(acc))
+                if not v.is_zero():
+                    out[(i + 1, j + 1, k + 1)] = v
     return out
 
 
@@ -345,7 +349,8 @@ def test_transform_matches_the_scalar_loop_bit_for_bit():
     rng = np.random.default_rng(21)
     frames = [random_so5(rng) for _ in range(50)]
     # entries of +-5e-10 are at most DEFAULT_TOL, so the loop skips the
-    # terms they lead; the identity's zeros make signed-zero terms
+    # terms they lead; the identity's zeros make signed-zero terms, and the
+    # 1e16 entries of wide make terms that cancel
     small = random_so5(rng)
     small[1, 2], small[3, 0], small[0, 4] = 5e-10, -5e-10, 5e-10
     frames += [small, np.eye(5)]
@@ -354,8 +359,9 @@ def test_transform_matches_the_scalar_loop_bit_for_bit():
                                                  pyrng.randint(-2, 2))
                          for i in range(1, 6) for j in range(i, 6)
                          for k in range(j, 6) if pyrng.random() < 0.4})
+    wide = TernaryForm({(1, 1, 1): 1e16, (1, 2, 3): 1, (2, 2, 2): -1e16})
     cases = [(standard_upsilon(), Q) for Q in frames] \
-        + [(other, Q) for Q in frames[-4:]]
+        + [(y, Q) for y in (other, wide) for Q in frames[-4:]]
     for y, Q in cases:
         frame = [list(map(float, Q[i])) for i in range(5)]
         # repr shows every float bit, the key types and the entry order

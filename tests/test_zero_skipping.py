@@ -1,13 +1,17 @@
-"""The loops that leave out exact zeros against the dense loops they replaced.
+"""The library's sparse loops against dense references, by the rule for
+sums.
 
-Each reference below is a former dense loop, kept here as it was: every
-product and sum, in index order.  The library's loops skip a product or a
-sum with an exact-zero operand only when every operand of that sum is
-exact, so on seeded random input (exact, float, and a mix with exact zeros)
-they must give the same values: equal on exact input, and the same
-to_string() on float input, where a float 0.0 must not turn into an exact
-0 or the reverse.  A count guard then pins how many Scalar multiplies and
-additions one classify makes.
+Each reference below walks the index set of a dense loop: every pair of
+factors, in index order.  It sums them by the rule that scalar.sum_products
+states, computed independently: a pair with an exact-zero factor is left
+out; the products are added as Scalars (or CScalars) when every one is
+exact; otherwise the sum is float(sum(map(Fraction, products))), the
+correctly rounded sum of the rounded products, for a CScalar its real and
+its imaginary part apart.  On seeded random input (exact, float, and a mix
+with exact zeros) the library must agree bit for bit: equal exact values,
+and floats with the same bits, the sign of a zero included.  Count guards
+then pin how many Scalar and CScalar additions and multiplies one classify
+and one det_identity make.
 """
 
 import contextlib
@@ -35,91 +39,90 @@ N = 5
 KINDS = ("exact", "float", "mixed")
 
 
+# -- the reference sum ----------------------------------------------------
+
+
+def exact_zero(x):
+    return x.is_exact and x.is_zero()
+
+
+def rounded_sum(values):
+    """The plain sum of Scalars when each is exact, else the correctly
+    rounded sum of their rounded values."""
+    if all(v.is_exact for v in values):
+        return sum(values, Scalar(0))
+    return Scalar.from_float(float(sum(Fraction(float(v)) for v in values)))
+
+
+def reference(pairs):
+    """The sum of x * y over the pairs without an exact-zero factor."""
+    products = [x * y for x, y in pairs
+                if not (exact_zero(x) or exact_zero(y))]
+    if products and isinstance(products[0], CScalar):
+        return CScalar(rounded_sum([p.re for p in products]),
+                       rounded_sum([p.im for p in products]))
+    return rounded_sum(products)
+
+
 # -- the dense references -------------------------------------------------
 
 
 def dense_torsion_square(T):
     dense = form_array(T)
-    return [[sum((dense[i][k][l] * dense[j][k][l]
-                  for k in range(N) for l in range(N)), Scalar(0))
+    return [[reference((dense[i][k][l], dense[j][k][l])
+                       for k in range(N) for l in range(N))
              for j in range(N)] for i in range(N)]
 
 
 def dense_det4(A):
-    def det3(M):
-        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-
-    total = CScalar(0)
-    sign = 1
-    for col in range(4):
-        minor = [[A[i][j] for j in range(4) if j != col] for i in range(1, 4)]
-        total = total + scalar(sign) * A[0][col] * det3(minor)
-        sign = -sign
-    return total
+    """Cofactor expansion along the first row, and on down the rows."""
+    def det(row, cols):
+        if len(cols) == 1:
+            return A[row][cols[0]]
+        return reference((A[row][c], det(row + 1, cols[:n] + cols[n + 1:])
+                          * scalar(-1 if n % 2 else 1))
+                         for n, c in enumerate(cols))
+    got = det(0, (0, 1, 2, 3))
+    return got if isinstance(got, CScalar) else CScalar(got, 0)
 
 
 def dense_scale(W, c):
-    return [[c * a for a in row] for row in W.m]
+    return [[reference([(c, a)]) for a in row] for row in W.m]
 
 
 def dense_add(W, V):
-    return [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(W.m, V.m)]
+    one = Scalar(1)
+    return [[reference([(a, one), (b, one)]) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(W.m, V.m)]
 
 
 def dense_sub(W, V):
-    return [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(W.m, V.m)]
+    one = Scalar(1)
+    return [[reference([(a, one), (b, -one)]) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(W.m, V.m)]
 
 
 def dense_inner(W, V):
-    acc = Scalar(0)
-    for i in range(N):
-        for j in range(N):
-            acc = acc + W.m[i][j] * V.m[i][j]
-    return acc
+    return reference((W.m[i][j], V.m[i][j])
+                     for i in range(N) for j in range(N))
 
 
 def dense_upsilon_bar(v):
     d = standard_upsilon().dense()
-    exact = all(c.is_exact for c in v)
-    return [[sum((d[i][j][k] * v[k] for k in range(N)
-                  if not (exact and d[i][j][k].is_zero())), Scalar(0))
+    return [[reference((d[i][j][k], v[k]) for k in range(N))
              for j in range(N)] for i in range(N)]
 
 
 def dense_predicted(coeffs):
-    square_sum = sum((c * c for c in coeffs), scalar(0))
+    square_sum = reference((c, c) for c in coeffs)
     return NINE_SIXTEENTHS * square_sum * square_sum
 
 
 def dense_ricci(K):
     R = [form_array(f) for f in K.forms]
-    return [[sum((e * R[a][i][l] for i in range(N)
-                  for a, e in K.support[i][j]), Scalar(0))
+    return [[reference((e, R[a][i][l]) for i in range(N)
+                       for a, e in K.support[i][j])
               for l in range(N)] for j in range(N)]
-
-
-def former_dot(u, v):
-    """scalar.dot before it also left out exact-zero second factors: it
-    skipped only an exact-zero first factor."""
-    acc = None
-    for x, y in zip(u, v):
-        if isinstance(x, Scalar) and x._f is None and not x._n and not x._m:
-            continue
-        acc = x * y if acc is None else acc + x * y
-    return acc if acc is not None else u[0] * v[0]
-
-
-def former_from_pairs(data):
-    """ConnTensor.from_pairs before it stored exact values directly: each
-    value added to, and subtracted from, a fresh zero."""
-    x = [[[Scalar(0) for _ in range(N)] for _ in range(N)] for _ in range(N)]
-    for (i, j, k), v in data.items():
-        v = scalar(v)
-        x[i][j][k] = x[i][j][k] + v
-        x[j][i][k] = x[j][i][k] - v
-    return x
 
 
 # -- seeded random input --------------------------------------------------
@@ -153,18 +156,20 @@ def form(rng, kind, degree):
     return FLAT.form(degree, terms)
 
 
-def strings(rows):
-    return [[v.to_string() for v in row] for row in rows]
+def bits(v):
+    """An exact Scalar as its value, a float one as its bits."""
+    return ("exact", v) if v.is_exact else ("float", float(v).hex())
 
 
 def assert_same(got, want):
-    """Equal values on exact entries, the same strings on every entry."""
-    assert strings(got) == strings(want)
+    """Equal exact values and equal float bits on every entry."""
     for g, w in zip((v for row in got for v in row),
                     (v for row in want for v in row)):
-        assert g.is_exact == w.is_exact
-        if w.is_exact:
-            assert g == w
+        if isinstance(w, CScalar):
+            assert (bits(g.re), bits(g.im)) == (bits(w.re), bits(w.im))
+        else:
+            assert bits(g) == bits(w)
+    assert [len(row) for row in got] == [len(row) for row in want]
 
 
 # -- the differential tests -----------------------------------------------
@@ -184,8 +189,7 @@ def test_det4_matches_the_dense_expansion(kind):
     for _ in range(30):
         A = [[CScalar(value(rng, kind), value(rng, kind)) for _ in range(4)]
              for _ in range(4)]
-        got, want = det4(A), dense_det4(A)
-        assert_same([[got.re, got.im]], [[want.re, want.im]])
+        assert_same([[det4(A)]], [[dense_det4(A)]])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -200,8 +204,8 @@ def test_det4_keeps_the_cofactor_of_a_float_zero():
     # diag(0.0, 1, 1, 1): the first cofactor is 0.0 * 1, a float zero
     A = [[CScalar(int(i == j), 0) for j in range(4)] for i in range(4)]
     A[0][0] = CScalar(Scalar.from_float(0.0), 0)
-    got, want = det4(A), dense_det4(A)
-    assert_same([[got.re, got.im]], [[want.re, want.im]])
+    got = det4(A)
+    assert_same([[got]], [[dense_det4(A)]])
     assert got.re.to_string() == "0.0"
 
 
@@ -243,35 +247,40 @@ def test_dot_matches_the_former_loop(kind):
         n = rng.randint(1, 8)
         u = [value(rng, kind) for _ in range(n)]
         v = [value(rng, kind) for _ in range(n)]
-        assert_same([[dot(u, v)]], [[former_dot(u, v)]])
+        assert_same([[dot(u, v)]], [[reference(zip(u, v))]])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_conn_tensor_from_pairs_matches_the_former_loop(kind):
+    # from_pairs sums nothing: it stores each value and its negation
     rng = random.Random(f"pairs-{kind}")
     keys = [(i, j, k) for i, j in PAIRS for k in range(N)]
     for _ in range(20):
         data = {key: value(rng, kind)
                 for key in rng.sample(keys, rng.randint(1, len(keys)))}
+        want = [[[Scalar(0)] * N for _ in range(N)] for _ in range(N)]
+        for (i, j, k), v in data.items():
+            want[i][j][k], want[j][i][k] = v, -v
         got = ConnTensor.from_pairs(data).x
         assert_same([row for plane in got for row in plane],
-                    [row for plane in former_from_pairs(data)
-                     for row in plane])
+                    [row for plane in want for row in plane])
 
 
 def test_conn_tensor_from_pairs_keeps_the_sign_of_a_float_zero():
-    # 0 + (-0.0) is 0.0 and 0 - 0.0 is 0.0, where -(0.0) would be -0.0
-    for v in (0.0, -0.0):
+    # the value as it is, and -(0.0) is -0.0
+    for v, neg in ((0.0, "-0.0"), (-0.0, "0.0")):
         x = ConnTensor.from_pairs({(0, 1, 2): Scalar.from_float(v)}).x
         assert (x[0][1][2].to_string(), x[1][0][2].to_string()) == \
-            ("0.0", "0.0")
+            (repr(v), neg)
 
 
 def test_dot_keeps_the_sign_of_a_float_zero():
-    # -0.0 plus the exact zero 1 * 0 is +0.0, so that product stays in
+    # the exact zero 1 * 0 is left out and -0.0 alone sums to +0.0, as
+    # every zero sum of floats does
     one, zero, neg = Scalar(1), Scalar(0), Scalar.from_float(-0.0)
     for u, v in (([one, one], [neg, zero]), ([one, one], [zero, neg])):
-        assert dot(u, v).to_string() == former_dot(u, v).to_string() == "0.0"
+        assert dot(u, v).to_string() == reference(zip(u, v)).to_string() \
+            == "0.0"
 
 
 def test_inputs_cover_exact_zeros_and_float_zeros():
@@ -283,19 +292,34 @@ def test_inputs_cover_exact_zeros_and_float_zeros():
                     (False, False)}
 
 
-# -- the count guard ------------------------------------------------------
+# -- the count guards -----------------------------------------------------
 
-# Scalar multiplies and additions of one warm classify of the pinned exact
-# tor23 (rho = 1, eps = 1, delta = 1) model; the dense loops made 2,621 and
-# 2,624
+# Scalar multiplies and additions of one warm classify: of the pinned exact
+# tor23 (rho = 1, eps = 1, delta = 1) model, for which the dense loops made
+# 2,621 and 2,624, and of the pinned float tor27 (rho = 1, phi = 0.7) model,
+# for which the dense float loops made 3,415 and 3,540
 MAX_CALLS = {"mul": 902, "add": 848}
+MAX_FLOAT_CALLS = {"mul": 1711, "add": 675}
 
 
-def test_classify_stays_off_the_exact_zeros(tmp_path, monkeypatch):
+def count_calls(monkeypatch, cls, ops):
+    """Count the calls of cls's arithmetic ops until monkeypatch.undo()."""
+    calls = Counter()
+    for name, op in (("__mul__", "mul"), ("__rmul__", "mul"),
+                     ("__add__", "add"), ("__radd__", "add")):
+        if op in ops:
+            def counted(*args, fn=getattr(cls, name), op=op):
+                calls[op] += 1
+                return fn(*args)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def classify_calls(tmp_path, monkeypatch, pinned, entry, params):
+    """The Scalar calls of one warm classify, whose output is the pin."""
     from so3five.catalog import entry_json
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(entry_json(
-        "tor23", {"rho": "1", "eps": "1", "delta": "1"})))
+    path.write_text(json.dumps(entry_json(entry, params)))
 
     def classify():
         out = io.StringIO()
@@ -304,16 +328,38 @@ def test_classify_stays_off_the_exact_zeros(tmp_path, monkeypatch):
         return code, out.getvalue()
 
     classify()  # fills the caches every process shares
-    calls = Counter()
-    for name, op in (("__mul__", "mul"), ("__rmul__", "mul"),
-                     ("__add__", "add"), ("__radd__", "add")):
-        def counted(*args, fn=getattr(Scalar, name), op=op):
-            calls[op] += 1
-            return fn(*args)
-        monkeypatch.setattr(Scalar, name, counted)
+    calls = count_calls(monkeypatch, Scalar, ("mul", "add"))
     code, out = classify()
     monkeypatch.undo()
     assert code == 0
-    assert out == (DATA / "classify_tor23_rho1.json").read_text()
+    assert out == (DATA / f"classify_{pinned}.json").read_text()
+    return calls
+
+
+def test_classify_stays_off_the_exact_zeros(tmp_path, monkeypatch):
+    calls = classify_calls(tmp_path, monkeypatch, "tor23_rho1", "tor23",
+                           {"rho": "1", "eps": "1", "delta": "1"})
     assert calls["mul"] <= MAX_CALLS["mul"]
     assert calls["add"] <= MAX_CALLS["add"]
+
+
+def test_float_classify_stays_off_the_dense_loops(tmp_path, monkeypatch):
+    calls = classify_calls(tmp_path, monkeypatch, "tor27_rho1_phi0.7",
+                           "tor27", {"rho": "1", "phi": "0.7"})
+    assert calls["mul"] <= MAX_FLOAT_CALLS["mul"]
+    assert calls["add"] <= MAX_FLOAT_CALLS["add"]
+
+
+def test_det_identity_adds_through_one_sum(monkeypatch):
+    # W, its determinant and the sum of squares are each one sum of
+    # products; the one CScalar addition left is det W - predicted (the
+    # dense loops made 73)
+    coeffs = [Scalar.from_float(0.3), Scalar.from_float(-1.2),
+              Scalar.from_float(0.8)]
+    want = det_identity(coeffs)[1]
+    calls = count_calls(monkeypatch, CScalar, ("add",))
+    got = det_identity(coeffs)[1]
+    monkeypatch.undo()
+    assert (got.re.to_string(), got.im.to_string()) == \
+        (want.re.to_string(), want.im.to_string())
+    assert calls["add"] <= 1
