@@ -309,7 +309,7 @@ def ricci(model: CoframeModel, tol=DEFAULT_TOL):
         sds = Tensor2.zero()
     else:
         sds = Tensor2.from_form(hodge_star(d_star_T))
-    correction = t_sq.scale(QUARTER) + sds.scale(HALF)
+    correction = Tensor2.combination([(QUARTER, t_sq), (HALF, sds)])
     if model.n_fiber == 0:
         ric_lc = analysis.lc_riemann.ricci()
         rel = (ric_lc - ric_gamma - correction).max_mag()

@@ -178,6 +178,14 @@ class Tensor2(_Dense):
         return Tensor2._of([[sum_products([(c, a)]) for a in row]
                             for row in self.m])
 
+    @classmethod
+    def combination(cls, terms):
+        """The sum of c * T over the (c, T) in terms, each entry one
+        sum_products."""
+        terms = [(scalar(c), T.m) for c, T in terms]
+        return cls._of([[sum_products([(c, m[i][j]) for c, m in terms])
+                         for j in range(N)] for i in range(N)])
+
     def __eq__(self, other):
         if not isinstance(other, Tensor2):
             return NotImplemented
@@ -187,10 +195,10 @@ class Tensor2(_Dense):
     __hash__ = None
 
     def sym(self):
-        return (self + self.transpose()).scale(HALF)
+        return Tensor2.combination([(HALF, self), (HALF, self.transpose())])
 
     def alt(self):
-        return (self - self.transpose()).scale(HALF)
+        return Tensor2.combination([(HALF, self), (-HALF, self.transpose())])
 
     def transpose(self):
         return Tensor2._of([[self.m[j][i] for j in range(N)]
@@ -383,10 +391,8 @@ def decompose_t2(W: Tensor2):
     """
     A = W.alt()
     S = W.sym()
-    c3 = Tensor2.zero()
-    for E in E_matrices():
-        Emat = Tensor2._of(E)
-        c3 = c3 + Emat.scale(A.inner(Emat) * TENTH)
+    Es = [Tensor2._of(E) for E in E_matrices()]
+    c3 = Tensor2.combination([(A.inner(E) * TENTH, E) for E in Es])
     c7 = A - c3
     c1 = Tensor2.metric().scale(S.trace() * FIFTH)
     S0 = S - c1

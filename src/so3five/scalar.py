@@ -402,6 +402,18 @@ def _cjoin(re, im):
     return z
 
 
+def _cproduct(x, y):
+    """The five integers of the product of two exact CScalars, not yet in
+    normal form: (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3."""
+    a1, b1, c1, e1 = x._a, x._b, x._c, x._e
+    a2, b2, c2, e2 = y._a, y._b, y._c, y._e
+    return (a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
+            a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+            a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
+            a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
+            x._d * y._d)
+
+
 def is_exact_zero(x):
     """True when the Scalar or CScalar x is an exact zero, never for a
     float: a product with such a factor is an exact zero too."""
@@ -531,14 +543,7 @@ class CScalar:
             if is_exact_zero(oi):
                 return _cjoin(sr * orr, si * orr)
             return _cjoin(sr * orr - si * oi, sr * oi + si * orr)
-        # (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3
-        a1, b1, c1, e1 = self._a, self._b, self._c, self._e
-        a2, b2, c2, e2 = o._a, o._b, o._c, o._e
-        return _cnorm(a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
-                      a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
-                      a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
-                      a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
-                      self._d * o._d)
+        return _cnorm(*_cproduct(self, o))
 
     __rmul__ = __mul__
 
@@ -606,27 +611,90 @@ def total(terms, zero=ZERO):
     if not terms:
         return zero
     acc = terms[0]
-    if type(acc) is complex:
+    ring = type(acc)
+    if ring is Scalar:
+        n = m = count = 0
+        d = 1
+        for t in terms:
+            if t._f is not None:
+                return Scalar(_float=_fsum([float(t) for t in terms]))
+            if t._n or t._m:  # an exact zero adds nothing
+                td = t._d
+                if td == d:
+                    n, m = n + t._n, m + t._m
+                else:
+                    g = gcd(d, td)
+                    f, ft = td // g, d // g
+                    n, m, d = n * f + t._n * ft, m * f + t._m * ft, d * f
+                count, acc = count + 1, t
+        return acc if count < 2 else _norm(n, m, d)
+    if ring is complex:
         return complex(_fsum([t.real for t in terms]),
                        _fsum([t.imag for t in terms]))
-    if type(acc) is CScalar:
-        if any(t._d is None for t in terms):
-            return _cjoin(total([t.re for t in terms]),
-                          total([t.im for t in terms]))
-        for t in terms[1:]:
-            acc = acc + t
-        return acc
-    if any(t._f is not None for t in terms):
-        return Scalar(_float=_fsum([float(t) for t in terms]))
-    n = m = count = 0
+    a = b = c = e = 0
     d = 1
     for t in terms:
-        if t._n or t._m:  # an exact zero adds nothing
-            g = gcd(d, t._d)
-            f, ft = t._d // g, d // g
-            n, m, d = n * f + t._n * ft, m * f + t._m * ft, d * f
-            count, acc = count + 1, t
-    return acc if count < 2 else _norm(n, m, d)
+        if t._d is None:
+            return _cjoin(total([t.re for t in terms]),
+                          total([t.im for t in terms]))
+        a, b, c, e, d = _cadd(a, b, c, e, d, t._a, t._b, t._c, t._e, t._d)
+    return _cnorm(a, b, c, e, d)
+
+
+def sum_products(pairs, zero=ZERO):
+    """The total of the products x * y over the (x, y) in pairs, leaving
+    out each pair with an exact-zero factor, on any input: that keeps a sum
+    of exact products exact, and changes no float sum.  When every factor
+    is exact the products are added as integers, without a Scalar or
+    CScalar for each."""
+    pairs = pairs if type(pairs) is list else list(pairs)
+    n = m = count = 0
+    d = 1
+    for x, y in pairs:
+        if type(x) is not Scalar or type(y) is not Scalar or (
+                x._f is not None or y._f is not None):
+            break
+        n1, m1, n2, m2 = x._n, x._m, y._n, y._m
+        if (n1 or m1) and (n2 or m2):
+            pn, pm, pd = n1 * n2 + 3 * m1 * m2, n1 * m2 + m1 * n2, x._d * y._d
+            if pd == d:
+                n, m = n + pn, m + pm
+            else:
+                g = gcd(d, pd)
+                f, fp = pd // g, d // g
+                n, m, d = n * f + pn * fp, m * f + pm * fp, d * f
+            count += 1
+    else:
+        return _norm(n, m, d) if count else zero
+    s = _csum_products(pairs, zero) if type(x) is CScalar else None
+    if s is None:
+        s = total([x * y for x, y in pairs
+                   if not (is_exact_zero(x) or is_exact_zero(y))], zero)
+    return s
+
+
+def _csum_products(pairs, zero):
+    """sum_products of exact CScalar pairs; None if a factor is not one."""
+    a = b = c = e = count = 0
+    d = 1
+    for x, y in pairs:
+        if type(x) is not CScalar or type(y) is not CScalar or (
+                x._d is None or y._d is None):
+            return None
+        if (x._a or x._b or x._c or x._e) and (y._a or y._b or y._c or y._e):
+            a, b, c, e, d = _cadd(a, b, c, e, d, *_cproduct(x, y))
+            count += 1
+    return _cnorm(a, b, c, e, d) if count else zero
+
+
+def _cadd(a, b, c, e, d, a2, b2, c2, e2, d2):
+    """The five integers of two exact CScalars' sum, over the lcm of d and
+    d2."""
+    if d == d2:
+        return a + a2, b + b2, c + c2, e + e2, d
+    g = gcd(d, d2)
+    f, f2 = d2 // g, d // g
+    return a * f + a2 * f2, b * f + b2 * f2, c * f + c2 * f2, e * f + e2 * f2, d * f
 
 
 def _fsum(xs):
@@ -635,21 +703,6 @@ def _fsum(xs):
         return fsum(xs)
     except (OverflowError, ValueError):
         return sum(xs)
-
-
-def sum_products(pairs, zero=ZERO):
-    """The total of the products x * y over the (x, y) in pairs, leaving
-    out each pair with an exact-zero factor, on any input: that keeps a sum
-    of exact products exact, and changes no float sum."""
-    products = []
-    for x, y in pairs:
-        if type(x) is Scalar is type(y):  # is_exact_zero, inlined
-            if x._n == 0 == x._m or y._n == 0 == y._m:
-                continue
-        elif is_exact_zero(x) or is_exact_zero(y):
-            continue
-        products.append(x * y)
-    return total(products, zero)
 
 
 # ---------------------------------------------------------------------------

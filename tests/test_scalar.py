@@ -409,3 +409,12 @@ def test_cancelling_terms_sum_exactly_rounded():
     assert total([neg, neg]).to_string() == "0.0"
     assert sum_products([(Scalar(0), big), (Scalar(2), Scalar(3))]) == 6
     assert sum_products([(Scalar(0), big)]).is_exact
+
+
+def test_a_sum_beyond_the_double_range_is_the_plain_float_sum():
+    # math.fsum raises on both; classify on six-dim-2 at t1 = 1e60,
+    # t2 = 2e60 forms such sums
+    big, inf = Scalar.from_float(1e308), Scalar.from_float(math.inf)
+    assert float(total([big, big])) == math.inf
+    assert math.isnan(float(total([inf, -inf])))
+    assert total([1e308 + 0j, 1e308 + 0j]) == complex(math.inf, 0)
