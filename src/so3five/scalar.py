@@ -402,18 +402,6 @@ def _cjoin(re, im):
     return z
 
 
-def _cproduct(x, y):
-    """The five integers of the product of two exact CScalars, not yet in
-    normal form: (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3."""
-    a1, b1, c1, e1 = x._a, x._b, x._c, x._e
-    a2, b2, c2, e2 = y._a, y._b, y._c, y._e
-    return (a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
-            a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
-            a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
-            a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
-            x._d * y._d)
-
-
 def is_exact_zero(x):
     """True when the Scalar or CScalar x is an exact zero, never for a
     float: a product with such a factor is an exact zero too."""
@@ -543,7 +531,14 @@ class CScalar:
             if is_exact_zero(oi):
                 return _cjoin(sr * orr, si * orr)
             return _cjoin(sr * orr - si * oi, sr * oi + si * orr)
-        return _cnorm(*_cproduct(self, o))
+        # (x1 + i y1)(x2 + i y2) with x = a + b*sqrt3, y = c + e*sqrt3
+        a1, b1, c1, e1 = self._a, self._b, self._c, self._e
+        a2, b2, c2, e2 = o._a, o._b, o._c, o._e
+        return _cnorm(a1 * a2 + 3 * (b1 * b2 - e1 * e2) - c1 * c2,
+                      a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+                      a1 * c2 + c1 * a2 + 3 * (b1 * e2 + e1 * b2),
+                      a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
+                      self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -637,16 +632,22 @@ def total(terms, zero=ZERO):
         if t._d is None:
             return _cjoin(total([t.re for t in terms]),
                           total([t.im for t in terms]))
-        a, b, c, e, d = _cadd(a, b, c, e, d, t._a, t._b, t._c, t._e, t._d)
+        td = t._d
+        if td == d:
+            a, b, c, e = a + t._a, b + t._b, c + t._c, e + t._e
+        else:
+            g = gcd(d, td)
+            f, ft = td // g, d // g
+            a, b = a * f + t._a * ft, b * f + t._b * ft
+            c, e, d = c * f + t._c * ft, e * f + t._e * ft, d * f
     return _cnorm(a, b, c, e, d)
 
 
 def sum_products(pairs, zero=ZERO):
     """The total of the products x * y over the (x, y) in pairs, leaving
     out each pair with an exact-zero factor, on any input: that keeps a sum
-    of exact products exact, and changes no float sum.  When every factor
-    is exact the products are added as integers, without a Scalar or
-    CScalar for each."""
+    of exact products exact, and changes no float sum.  Exact real products
+    are added as integers, without a Scalar for each."""
     pairs = pairs if type(pairs) is list else list(pairs)
     n = m = count = 0
     d = 1
@@ -666,35 +667,8 @@ def sum_products(pairs, zero=ZERO):
             count += 1
     else:
         return _norm(n, m, d) if count else zero
-    s = _csum_products(pairs, zero) if type(x) is CScalar else None
-    if s is None:
-        s = total([x * y for x, y in pairs
-                   if not (is_exact_zero(x) or is_exact_zero(y))], zero)
-    return s
-
-
-def _csum_products(pairs, zero):
-    """sum_products of exact CScalar pairs; None if a factor is not one."""
-    a = b = c = e = count = 0
-    d = 1
-    for x, y in pairs:
-        if type(x) is not CScalar or type(y) is not CScalar or (
-                x._d is None or y._d is None):
-            return None
-        if (x._a or x._b or x._c or x._e) and (y._a or y._b or y._c or y._e):
-            a, b, c, e, d = _cadd(a, b, c, e, d, *_cproduct(x, y))
-            count += 1
-    return _cnorm(a, b, c, e, d) if count else zero
-
-
-def _cadd(a, b, c, e, d, a2, b2, c2, e2, d2):
-    """The five integers of two exact CScalars' sum, over the lcm of d and
-    d2."""
-    if d == d2:
-        return a + a2, b + b2, c + c2, e + e2, d
-    g = gcd(d, d2)
-    f, f2 = d2 // g, d // g
-    return a * f + a2 * f2, b * f + b2 * f2, c * f + c2 * f2, e * f + e2 * f2, d * f
+    return total([x * y for x, y in pairs
+                  if not (is_exact_zero(x) or is_exact_zero(y))], zero)
 
 
 def _fsum(xs):
